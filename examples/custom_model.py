@@ -42,6 +42,14 @@ class GatedMLP(Classifier):
             x = x.reshape(x.shape[0], -1)
         return self.trunk(x) * self.gate(x).sigmoid()
 
+    def infer_features(self, x: np.ndarray) -> np.ndarray:
+        # The same arithmetic on plain numpy: predictions run through
+        # this autograd-free path, forward_features only trains.
+        if x.ndim > 2:
+            x = x.reshape(x.shape[0], -1)
+        gate = 1.0 / (1.0 + np.exp(-self.gate.infer(x)))
+        return self.trunk.infer(x) * gate
+
 
 # One line makes the model available everywhere by name.
 register_model("gated_mlp")(

@@ -39,13 +39,12 @@ from .base import NoisyLabelDetector
 def per_sample_losses(model, dataset: LabeledDataset,
                       batch_size: int = 256) -> np.ndarray:
     """Cross-entropy of every sample under the current model."""
-    model.eval()
-    x = dataset.flat_x()
+    logits = model.predict_logits(dataset.flat_x(), batch_size)
     out = np.empty(len(dataset))
     for start in range(0, len(dataset), batch_size):
-        xb = Tensor(x[start:start + batch_size])
         yb = dataset.y[start:start + batch_size]
-        losses = cross_entropy(model(xb), yb, reduction="none")
+        losses = cross_entropy(Tensor(logits[start:start + batch_size]), yb,
+                               reduction="none")
         out[start:start + len(yb)] = losses.data
     return out
 

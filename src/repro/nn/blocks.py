@@ -13,6 +13,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import functional as F
 from .layers import BatchNorm1d, Conv2d, Linear, Module
 from .rng import resolve_rng
 from .tensor import Tensor, concatenate
@@ -44,6 +45,23 @@ class ResidualMLPBlock(Module):
         h = self.fc2(h.relu())
         return x + h
 
+    def _branch(self, x: np.ndarray) -> np.ndarray:
+        if self.norm1 is not None:
+            h = F.relu_(self.norm1.infer(x))
+        else:
+            h = F.relu_array(x)
+        h = self.fc1.infer(h)
+        if self.norm2 is not None:
+            h = self.norm2._infer_(h)
+        return self.fc2.infer(F.relu_(h))
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        h = self._branch(x)
+        return np.add(x, h, out=h)
+
+    def _infer_(self, h: np.ndarray) -> np.ndarray:
+        return np.add(h, self._branch(h), out=h)
+
 
 class DenseMLPBlock(Module):
     """Dense block: each layer sees the concatenation of all earlier outputs.
@@ -70,6 +88,18 @@ class DenseMLPBlock(Module):
             features = concatenate([features, new], axis=1)
         return features
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        # Each layer's output lands in its columns of one buffer, in
+        # place of forward's growing concatenation (a pure copy).
+        width = x.shape[1]
+        out = np.empty((x.shape[0], self.out_width))
+        out[:, :width] = x
+        for layer in self.layers:
+            new = layer.infer(F.relu_array(out[:, :width]))
+            out[:, width:width + new.shape[1]] = new
+            width += new.shape[1]
+        return out
+
 
 class TransitionMLP(Module):
     """Compress dense-block output back down (DenseNet transition analog)."""
@@ -81,6 +111,12 @@ class TransitionMLP(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return self.fc(x.relu())
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return self.fc.infer(F.relu_array(x))
+
+    def _infer_(self, h: np.ndarray) -> np.ndarray:
+        return self.fc.infer(F.relu_(h))
 
 
 class ResidualConvBlock(Module):
@@ -97,3 +133,14 @@ class ResidualConvBlock(Module):
         h = self.conv1(x.relu())
         h = self.conv2(h.relu())
         return x + h
+
+    def _branch(self, x: np.ndarray) -> np.ndarray:
+        h = self.conv1.infer(F.relu_array(x))
+        return self.conv2.infer(F.relu_(h))
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        h = self._branch(x)
+        return np.add(x, h, out=h)
+
+    def _infer_(self, h: np.ndarray) -> np.ndarray:
+        return np.add(h, self._branch(h), out=h)

@@ -4,6 +4,12 @@ These functions operate on :class:`repro.nn.tensor.Tensor` objects and
 return tensors wired into the autograd graph.  They complement the
 methods on ``Tensor`` with numerically stable softmax-family ops and the
 im2col-based 2-D convolution used by the convolutional model variants.
+
+The ``*_array`` functions and the in-place ``relu_``/``softmax_rows_``
+are their plain-numpy counterparts for the eval-mode inference path
+(``Module.infer``).  Where an op takes more than one numpy expression,
+the Tensor op and its counterpart share one helper, so both compute the
+same IEEE operations in the same order.
 """
 
 from __future__ import annotations
@@ -27,6 +33,27 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable log-softmax along ``axis``."""
     shifted = x - x.max(axis=axis, keepdims=True).detach()
     return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
+
+
+def relu_array(x: np.ndarray) -> np.ndarray:
+    """``x * (x > 0)`` as a new array, like :meth:`Tensor.relu`.
+
+    Not ``np.maximum(x, 0)``: the two differ on ``-0.0`` inputs.
+    """
+    return x * (x > 0)
+
+
+def relu_(h: np.ndarray) -> np.ndarray:
+    """:func:`relu_array` written into ``h``."""
+    return np.multiply(h, h > 0, out=h)
+
+
+def softmax_rows_(logits: np.ndarray) -> np.ndarray:
+    """Row softmax ``exp(l - max) / sum`` written into ``logits``."""
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    return logits
 
 
 def one_hot(labels: np.ndarray, num_classes: int,
@@ -75,6 +102,46 @@ def _im2col_indices(x_shape: Tuple[int, int, int, int], kh: int, kw: int,
     return k, i, j
 
 
+def _conv2d_padded(x: np.ndarray, weight: np.ndarray,
+                   bias: Optional[np.ndarray], stride: int):
+    """im2col convolution of already padded NCHW ``x``.
+
+    Returns the output plus the columns and indices that the autograd
+    op keeps for its backward pass.
+    """
+    n, c_in, h, w = x.shape
+    c_out, c_in_w, kh, kw = weight.shape
+    if c_in != c_in_w:
+        raise ValueError(
+            f"channel mismatch: input has {c_in}, weight expects {c_in_w}")
+    out_h = (h - kh) // stride + 1
+    out_w = (w - kw) // stride + 1
+    k, i, j = _im2col_indices((n, c_in, h, w), kh, kw, stride)
+    cols = x[:, k, i, j]  # (N, C*KH*KW, OH*OW)
+    w_mat = weight.reshape(c_out, -1)  # (C_out, C*KH*KW)
+    out = np.einsum("oc,ncp->nop", w_mat, cols)
+    out = out.reshape(n, c_out, out_h, out_w)
+    if bias is not None:
+        out = out + bias.reshape(1, c_out, 1, 1)
+    return out, cols, w_mat, (k, i, j)
+
+
+def _check_nchw(shape: Tuple[int, ...]) -> None:
+    if len(shape) != 4:
+        raise ValueError(f"conv2d expects NCHW input, got shape {shape}")
+
+
+def conv2d_array(x: np.ndarray, weight: np.ndarray,
+                 bias: Optional[np.ndarray] = None, stride: int = 1,
+                 padding: int = 0) -> np.ndarray:
+    """:func:`conv2d` on plain numpy arrays (no autograd)."""
+    _check_nchw(x.shape)
+    if padding:
+        x = np.pad(x, [(0, 0), (0, 0), (padding, padding),
+                       (padding, padding)])
+    return _conv2d_padded(x, weight, bias, stride)[0]
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
            stride: int = 1, padding: int = 0) -> Tensor:
     """2-D convolution over NCHW input using im2col + matmul.
@@ -88,26 +155,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     bias:
         Optional bias of shape ``(C_out,)``.
     """
-    if x.ndim != 4:
-        raise ValueError(f"conv2d expects NCHW input, got shape {x.shape}")
+    _check_nchw(x.shape)
     if padding:
         x = x.pad2d(padding)
     n, c_in, h, w = x.shape
-    c_out, c_in_w, kh, kw = weight.shape
-    if c_in != c_in_w:
-        raise ValueError(
-            f"channel mismatch: input has {c_in}, weight expects {c_in_w}")
-    out_h = (h - kh) // stride + 1
-    out_w = (w - kw) // stride + 1
-
-    k, i, j = _im2col_indices((n, c_in, h, w), kh, kw, stride)
-    x_data = x.data
-    cols = x_data[:, k, i, j]  # (N, C*KH*KW, OH*OW)
-    w_mat = weight.data.reshape(c_out, -1)  # (C_out, C*KH*KW)
-    out = np.einsum("oc,ncp->nop", w_mat, cols)
-    out = out.reshape(n, c_out, out_h, out_w)
-    if bias is not None:
-        out = out + bias.data.reshape(1, c_out, 1, 1)
+    c_out = weight.shape[0]
+    out, cols, w_mat, (k, i, j) = _conv2d_padded(
+        x.data, weight.data, None if bias is None else bias.data, stride)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
@@ -120,39 +174,56 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
             bias._route(grad.sum(axis=(0, 2, 3)))
         if x.requires_grad:
             gcols = np.einsum("oc,nop->ncp", w_mat, grad_mat)
-            gx = np.zeros((n, c_in, h, w), dtype=x_data.dtype)
+            gx = np.zeros((n, c_in, h, w), dtype=x.data.dtype)
             np.add.at(gx, (slice(None), k, i, j), gcols)
             x._route(gx)
 
     return Tensor._make(out, parents, backward)
 
 
-def max_pool2d(x: Tensor, kernel: int, stride: Optional[int] = None) -> Tensor:
-    """Max pooling over non-overlapping (or strided) square windows."""
+def _pool_windows(x: np.ndarray, kernel: int,
+                  stride: Optional[int]) -> np.ndarray:
+    """``x`` viewed as (N, C, OH, kernel, OW, kernel) pooling windows."""
     stride = stride or kernel
     n, c, h, w = x.shape
-    out_h = (h - kernel) // stride + 1
-    out_w = (w - kernel) // stride + 1
     if kernel == stride and h % kernel == 0 and w % kernel == 0:
-        # Fast path: reshape trick.
-        reshaped = x.data.reshape(n, c, out_h, kernel, out_w, kernel)
-        out = reshaped.max(axis=(3, 5))
-
-        def backward(grad: np.ndarray) -> None:
-            expanded = out[:, :, :, None, :, None]
-            mask = (reshaped == expanded)
-            counts = mask.sum(axis=(3, 5), keepdims=True)
-            g = mask * grad[:, :, :, None, :, None] / counts
-            x._route(g.reshape(n, c, h, w))
-
-        return Tensor._make(out, (x,), backward)
+        return x.reshape(n, c, h // kernel, kernel, w // kernel, kernel)
     raise NotImplementedError(
         "max_pool2d supports only kernel == stride with divisible sizes")
+
+
+def max_pool2d_array(x: np.ndarray, kernel: int,
+                     stride: Optional[int] = None) -> np.ndarray:
+    """:func:`max_pool2d` on a plain numpy array (no autograd)."""
+    return _pool_windows(x, kernel, stride).max(axis=(3, 5))
+
+
+def max_pool2d(x: Tensor, kernel: int, stride: Optional[int] = None) -> Tensor:
+    """Max pooling over non-overlapping (or strided) square windows."""
+    reshaped = _pool_windows(x.data, kernel, stride)
+    out = reshaped.max(axis=(3, 5))
+
+    def backward(grad: np.ndarray) -> None:
+        expanded = out[:, :, :, None, :, None]
+        mask = (reshaped == expanded)
+        counts = mask.sum(axis=(3, 5), keepdims=True)
+        g = mask * grad[:, :, :, None, :, None] / counts
+        x._route(g.reshape(x.shape))
+
+    return Tensor._make(out, (x,), backward)
 
 
 def global_avg_pool2d(x: Tensor) -> Tensor:
     """Average over the spatial dimensions of an NCHW tensor."""
     return x.mean(axis=(2, 3))
+
+
+def global_avg_pool2d_array(x: np.ndarray) -> np.ndarray:
+    """:func:`global_avg_pool2d` on a plain numpy array: a sum times
+    the reciprocal count, as :meth:`Tensor.mean` computes it."""
+    out = x.sum(axis=(2, 3))
+    out *= 1.0 / (x.shape[2] * x.shape[3])
+    return out
 
 
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:

@@ -4,6 +4,10 @@ The module system mirrors the familiar torch-style API at a small
 scale: every layer derives from :class:`Module`, exposes
 ``parameters()`` for optimisers, a ``train()``/``eval()`` mode switch,
 and a ``__call__``/``forward`` contract.
+
+``forward`` builds the autograd graph and serves training.  Inference
+goes through ``infer``: plain numpy, always eval mode, bit-identical to
+the eval-mode ``forward`` (same IEEE operations in the same order).
 """
 
 from __future__ import annotations
@@ -145,6 +149,24 @@ class Module:
             x = Tensor(x)
         return self.forward(x)
 
+    # -- inference -----------------------------------------------------------
+    def infer(self, x: np.ndarray) -> np.ndarray:  # pragma: no cover - abstract
+        """Eval-mode forward on a float64 numpy batch, without autograd.
+
+        Computes exactly what ``forward`` computes in eval mode, in the
+        same order, whatever ``training`` says, and changes no state.
+        Never writes into ``x``: batches are views of dataset arrays,
+        some of them read-only.  The result may alias ``x`` only for
+        layers that return their input unchanged (eval-mode dropout,
+        flatten).
+        """
+        raise NotImplementedError
+
+    def _infer_(self, h: np.ndarray) -> np.ndarray:
+        """:meth:`infer` of a temporary the caller owns; may overwrite
+        ``h`` to save an allocation."""
+        return self.infer(h)
+
 
 class Linear(Module):
     """Fully connected layer ``y = x W^T + b``."""
@@ -163,6 +185,12 @@ class Linear(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return F.linear(x, self.weight, self.bias)
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        out = x @ self.weight.data.T
+        if self.bias is not None:
+            out += self.bias.data
+        return out
 
 
 class Conv2d(Module):
@@ -188,6 +216,12 @@ class Conv2d(Module):
         return F.conv2d(x, self.weight, self.bias,
                         stride=self.stride, padding=self.padding)
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return F.conv2d_array(
+            x, self.weight.data,
+            None if self.bias is None else self.bias.data,
+            stride=self.stride, padding=self.padding)
+
 
 class ReLU(Module):
     """Rectified linear unit activation."""
@@ -195,12 +229,24 @@ class ReLU(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x.relu()
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return F.relu_array(x)
+
+    def _infer_(self, h: np.ndarray) -> np.ndarray:
+        return F.relu_(h)
+
 
 class Tanh(Module):
     """Hyperbolic-tangent activation."""
 
     def forward(self, x: Tensor) -> Tensor:
         return x.tanh()
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return np.tanh(x)
+
+    def _infer_(self, h: np.ndarray) -> np.ndarray:
+        return np.tanh(h, out=h)
 
 
 class Dropout(Module):
@@ -216,6 +262,9 @@ class Dropout(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return F.dropout(x, self.p, self.training, self.rng)
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return x
 
 
 class BatchNorm1d(Module):
@@ -236,8 +285,7 @@ class BatchNorm1d(Module):
         self.running_var = Tensor(init.ones(num_features))
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.ndim != 2:
-            raise ValueError(f"BatchNorm1d expects (N, F), got {x.shape}")
+        self._check_shape(x.shape)
         if self.training:
             mean = x.mean(axis=0, keepdims=True)
             var = x.var(axis=0, keepdims=True)
@@ -251,6 +299,26 @@ class BatchNorm1d(Module):
             norm = ((x - Tensor(self.running_mean.data))
                     / Tensor(np.sqrt(self.running_var.data + self.eps)))
         return norm * self.gamma + self.beta
+
+    @staticmethod
+    def _check_shape(shape: tuple) -> None:
+        if len(shape) != 2:
+            raise ValueError(f"BatchNorm1d expects (N, F), got {shape}")
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        self._check_shape(x.shape)
+        return self._scale_shift_(x - self.running_mean.data)
+
+    def _infer_(self, h: np.ndarray) -> np.ndarray:
+        self._check_shape(h.shape)
+        h -= self.running_mean.data
+        return self._scale_shift_(h)
+
+    def _scale_shift_(self, h: np.ndarray) -> np.ndarray:
+        h /= np.sqrt(self.running_var.data + self.eps)
+        h *= self.gamma.data
+        h += self.beta.data
+        return h
 
 
 class LayerNorm(Module):
@@ -268,6 +336,16 @@ class LayerNorm(Module):
         norm = (x - mean) / (var + self.eps) ** 0.5
         return norm * self.gamma + self.beta
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        # Tensor.mean is a sum times the reciprocal count.
+        inv_count = 1.0 / x.shape[-1]
+        centered = x - x.sum(axis=-1, keepdims=True) * inv_count
+        var = (centered * centered).sum(axis=-1, keepdims=True) * inv_count
+        centered /= (var + self.eps) ** 0.5
+        centered *= self.gamma.data
+        centered += self.beta.data
+        return centered
+
 
 class Sequential(Module):
     """Run layers in order."""
@@ -280,6 +358,16 @@ class Sequential(Module):
         for layer in self.layers:
             x = layer(x)
         return x
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        h = x
+        owned = False
+        for layer in self.layers:
+            h = layer._infer_(h) if owned else layer.infer(h)
+            # Once a layer returns a fresh array, later layers may
+            # overwrite it; a view of ``x`` (flatten) must stay intact.
+            owned = owned or not np.may_share_memory(h, x)
+        return h
 
     def __iter__(self):
         return iter(self.layers)
@@ -295,4 +383,7 @@ class Flatten(Module):
     """Collapse all non-batch dimensions."""
 
     def forward(self, x: Tensor) -> Tensor:
+        return x.reshape(x.shape[0], -1)
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
         return x.reshape(x.shape[0], -1)

@@ -19,7 +19,7 @@ analogs (see DESIGN.md):
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -29,14 +29,16 @@ from .blocks import (DenseMLPBlock, ResidualConvBlock, ResidualMLPBlock,
 from .layers import (BatchNorm1d, Conv2d, Linear, Module, ReLU,
                      Sequential)
 from .rng import resolve_rng
-from .tensor import Tensor
+from .tensor import Tensor, _as_array
 
 
 class Classifier(Module):
     """A classifier with an explicit feature extractor and linear head.
 
-    Subclasses implement :meth:`forward_features`; the final logits are
-    always produced by the linear ``head`` so that the penultimate
+    Subclasses implement :meth:`forward_features` (training) and
+    :meth:`infer_features`, the same arithmetic on plain numpy that
+    every ``predict_*`` method runs on; the final logits are always
+    produced by the linear ``head`` so that the penultimate
     representation is well defined.
     """
 
@@ -53,35 +55,46 @@ class Classifier(Module):
     def forward(self, x: Tensor) -> Tensor:
         return self.head(self.forward_features(x))
 
+    def infer_features(self, x: np.ndarray
+                       ) -> np.ndarray:  # pragma: no cover - abstract
+        """:meth:`forward_features` on the inference path (see
+        :meth:`Module.infer`)."""
+        raise NotImplementedError
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return self.head.infer(self.infer_features(x))
+
     # ------------------------------------------------------------------
     # Inference helpers (numpy in / numpy out, batched, eval mode)
     # ------------------------------------------------------------------
-    def _batched(self, x: np.ndarray, fn: Callable[[Tensor], Tensor],
-                 batch_size: int) -> np.ndarray:
-        was_training = self.training
-        self.eval()
-        outs: List[np.ndarray] = []
-        try:
-            for start in range(0, len(x), batch_size):
-                batch = Tensor(x[start:start + batch_size])
-                outs.append(fn(batch).data)
-        finally:
-            if was_training:
-                self.train()
-        return np.concatenate(outs, axis=0) if outs else np.empty((0,))
+    def _infer_rows(self, x: np.ndarray, batch_size: int,
+                    step: Callable[[np.ndarray], Tuple[np.ndarray, ...]],
+                    widths: Tuple[int, ...]) -> Tuple[np.ndarray, ...]:
+        """The batched loop behind every ``predict_*`` method.
+
+        ``step`` maps one float64 batch of ``batch_size`` rows (the
+        last may be shorter) to a tuple of per-row outputs; each is
+        concatenated over the batches.  ``widths`` gives their column
+        counts for an input without rows.  Row values depend on the
+        batch a row shares (BLAS blocking varies with the row count),
+        so the batching is part of the result.
+        """
+        parts = [step(_as_array(x[start:start + batch_size]))
+                 for start in range(0, len(x), batch_size)]
+        if not parts:
+            return tuple(np.empty((0, width)) for width in widths)
+        return tuple(np.concatenate(column) for column in zip(*parts))
 
     def predict_logits(self, x: np.ndarray,
                        batch_size: int = 256) -> np.ndarray:
         """Raw class scores for each row of ``x``."""
-        return self._batched(x, self.forward, batch_size)
+        return self._infer_rows(x, batch_size, lambda b: (self.infer(b),),
+                                (self.num_classes,))[0]
 
     def predict_proba(self, x: np.ndarray,
                       batch_size: int = 256) -> np.ndarray:
         """Softmax confidences ``M(x, θ)`` for each row of ``x``."""
-        logits = self.predict_logits(x, batch_size)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        exp = np.exp(shifted)
-        return exp / exp.sum(axis=1, keepdims=True)
+        return F.softmax_rows_(self.predict_logits(x, batch_size))
 
     def predict(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
         """Predicted labels ``argmax M(x, θ)``."""
@@ -89,7 +102,13 @@ class Classifier(Module):
 
     def features(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
         """Penultimate representation ``M̂(x, θ)`` for each row of ``x``."""
-        return self._batched(x, self.forward_features, batch_size)
+        return self._infer_rows(x, batch_size,
+                                lambda b: (self.infer_features(b),),
+                                (self.feature_dim,))[0]
+
+    def _view(self, batch: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        features = self.infer_features(batch)
+        return F.softmax_rows_(self.head.infer(features)), features
 
     def predict_view(self, x: np.ndarray, batch_size: int = 256
                      ) -> "tuple[np.ndarray, np.ndarray]":
@@ -102,24 +121,8 @@ class Classifier(Module):
         cost while producing bit-identical outputs (softmax and head
         are row-wise, so batching does not affect values).
         """
-        was_training = self.training
-        self.eval()
-        probs_out: List[np.ndarray] = []
-        feats_out: List[np.ndarray] = []
-        try:
-            for start in range(0, len(x), batch_size):
-                feats = self.forward_features(Tensor(x[start:start + batch_size]))
-                logits = self.head(feats).data
-                shifted = logits - logits.max(axis=1, keepdims=True)
-                exp = np.exp(shifted)
-                probs_out.append(exp / exp.sum(axis=1, keepdims=True))
-                feats_out.append(feats.data)
-        finally:
-            if was_training:
-                self.train()
-        if not probs_out:
-            return np.empty((0, self.num_classes)), np.empty((0, self.feature_dim))
-        return np.concatenate(probs_out), np.concatenate(feats_out)
+        return self._infer_rows(x, batch_size, self._view,
+                                (self.num_classes, self.feature_dim))
 
 
 class MLPClassifier(Classifier):
@@ -139,6 +142,11 @@ class MLPClassifier(Classifier):
         if x.ndim > 2:
             x = x.reshape(x.shape[0], -1)
         return self.body(x)
+
+    def infer_features(self, x: np.ndarray) -> np.ndarray:
+        if x.ndim > 2:
+            x = x.reshape(x.shape[0], -1)
+        return self.body.infer(x)
 
 
 class ResNetMLP(Classifier):
@@ -164,6 +172,16 @@ class ResNetMLP(Classifier):
         if self.final_norm is not None:
             h = self.final_norm(h)
         return h.relu()
+
+    def infer_features(self, x: np.ndarray) -> np.ndarray:
+        if x.ndim > 2:
+            x = x.reshape(x.shape[0], -1)
+        h = self.stem.infer(x)
+        for block in self.blocks:
+            h = block._infer_(h)
+        if self.final_norm is not None:
+            h = self.final_norm._infer_(h)
+        return F.relu_(h)
 
 
 class DenseNetMLP(Classifier):
@@ -197,6 +215,14 @@ class DenseNetMLP(Classifier):
             h = block(h)
         return h.relu()
 
+    def infer_features(self, x: np.ndarray) -> np.ndarray:
+        if x.ndim > 2:
+            x = x.reshape(x.shape[0], -1)
+        h = self.stem.infer(x)
+        for block in self.blocks:
+            h = block._infer_(h)
+        return F.relu_(h)
+
 
 class SmallConvNet(Classifier):
     """A genuine convolutional classifier for NCHW image input.
@@ -229,6 +255,17 @@ class SmallConvNet(Classifier):
         h = F.max_pool2d(h, 2)
         h = self.res2(h)
         return F.global_avg_pool2d(h).relu()
+
+    def infer_features(self, x: np.ndarray) -> np.ndarray:
+        if x.ndim == 2:
+            x = x.reshape(x.shape[0], *self.in_shape)
+        h = F.relu_(self.conv1.infer(x))
+        h = F.max_pool2d_array(h, 2)
+        h = self.res1._infer_(h)
+        h = F.relu_(self.conv2.infer(h))
+        h = F.max_pool2d_array(h, 2)
+        h = self.res2._infer_(h)
+        return F.relu_(F.global_avg_pool2d_array(h))
 
 
 # ----------------------------------------------------------------------

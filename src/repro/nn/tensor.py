@@ -16,11 +16,27 @@ and index arrays should stay plain numpy arrays.
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
+
+class _GradTable(threading.local):
+    """Gradient accumulator of the backward pass running on this thread.
+
+    ``active`` maps id(tensor) to the gradient accumulated so far; it
+    ensures each node's backward closure runs exactly once even in
+    diamond-shaped graphs (residual connections), avoiding exponential
+    blowup.  Per thread, so models trained concurrently on different
+    threads never see each other's gradients.
+    """
+
+    active: Optional[dict] = None
+
+
+_grad_table = _GradTable()
 
 
 def _as_array(data: ArrayLike, dtype=np.float64) -> np.ndarray:
@@ -64,12 +80,6 @@ class Tensor:
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
-
-    # Gradient accumulator active during a backward pass.  Maps id(tensor)
-    # to the gradient accumulated so far; ensures each node's backward
-    # closure runs exactly once even in diamond-shaped graphs (residual
-    # connections), avoiding exponential blowup.
-    _active: Optional[dict] = None
 
     def __init__(self, data: ArrayLike, requires_grad: bool = False,
                  name: Optional[str] = None):
@@ -180,21 +190,21 @@ class Tensor:
                 if parent.requires_grad and id(parent) not in visited:
                     stack.append((parent, False))
 
-        previous = Tensor._active
-        Tensor._active = {id(self): grad}
+        previous = _grad_table.active
+        active = _grad_table.active = {id(self): grad}
         try:
             for node in reversed(topo):
-                node_grad = Tensor._active.pop(id(node), None)
+                node_grad = active.pop(id(node), None)
                 if node_grad is None:
                     continue
                 if node._backward is not None and node._parents:
                     # The closure routes gradients to parents via _route,
-                    # which accumulates into Tensor._active.
+                    # which accumulates into this thread's table.
                     node._backward(node_grad)
                 else:
                     node._accumulate(node_grad)
         finally:
-            Tensor._active = previous
+            _grad_table.active = previous
 
     # The closures created by ops call this helper.  During a backward
     # pass it accumulates into the active gradient table so every node's
@@ -202,7 +212,7 @@ class Tensor:
     def _route(self, grad: np.ndarray) -> None:
         if not self.requires_grad:
             return
-        active = Tensor._active
+        active = _grad_table.active
         if active is None:
             self._accumulate(grad)
             return
@@ -477,8 +487,3 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             t._route(np.squeeze(piece, axis=axis))
 
     return Tensor._make(data, tuple(tensors), backward)
-
-
-def no_grad_array(x: Union[Tensor, np.ndarray]) -> np.ndarray:
-    """Return the raw numpy array of ``x`` whether tensor or array."""
-    return x.data if isinstance(x, Tensor) else np.asarray(x)

@@ -135,12 +135,11 @@ def evaluate_loss(model: Classifier, dataset: LabeledDataset,
     labels = dataset.true_y if use_true_labels else dataset.y
     if labels is None:
         raise ValueError("dataset has no true labels")
-    model.eval()
+    logits = model.predict_logits(dataset.flat_x(), batch_size)
     total = 0.0
-    x = dataset.flat_x()
     for start in range(0, len(dataset), batch_size):
-        xb = Tensor(x[start:start + batch_size])
-        yb = labels[start:start + batch_size]
-        loss = cross_entropy(model(xb), yb, reduction="sum")
+        loss = cross_entropy(Tensor(logits[start:start + batch_size]),
+                             labels[start:start + batch_size],
+                             reduction="sum")
         total += loss.item()
     return total / len(dataset)

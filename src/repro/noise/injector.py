@@ -32,7 +32,7 @@ def corrupt_labels(dataset: LabeledDataset, transition: np.ndarray,
     if dataset.true_y is None:
         raise ValueError("corrupt_labels requires a dataset with true_y")
     num_classes = transition.shape[0]
-    if dataset.true_y.max() >= num_classes:
+    if len(dataset) and dataset.true_y.max() >= num_classes:
         raise ValueError(
             f"labels up to {dataset.true_y.max()} exceed transition size "
             f"{num_classes}")

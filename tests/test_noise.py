@@ -127,6 +127,26 @@ class TestCorruption:
                                np.random.default_rng(0))
         assert abs(noisy.noise_rate() - eta) < 0.06
 
+    def test_empty_dataset_gives_empty_dataset(self, rng):
+        ds = clean_dataset(n_classes=5, per_class=0)
+        noisy = corrupt_labels(ds, pair_asymmetric(5, 0.2), rng)
+        assert len(noisy) == 0
+        assert noisy.y.dtype == ds.y.dtype
+
+    @pytest.mark.parametrize("seed", range(1, 17))
+    def test_stream_with_empty_shards_materialises(self, seed):
+        # At the default Dirichlet alpha (0.6) with 2 of 8 classes per
+        # shard and 36 shards, some seeds draw an empty shard.
+        from repro.datalake.stream import ArrivalStream
+        from repro.datasets.splits import ShardPlan
+        pool = clean_dataset(n_classes=8, per_class=100)
+        stream = ArrivalStream(pool, ShardPlan(num_shards=36,
+                                               classes_per_shard=2),
+                               transition=pair_asymmetric(8, 0.2),
+                               num_classes=8, seed=seed)
+        arrivals = stream.arrivals()
+        assert sum(len(a) for a in arrivals) == len(pool)
+
 
 class TestMissingLabels:
     def test_exact_count_dropped(self, rng):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.nn.tensor import Tensor, concatenate, no_grad_array, stack
+from repro.nn.tensor import Tensor, concatenate, stack
 
 
 def finite_diff(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -61,11 +61,6 @@ class TestBasics:
     def test_numpy_returns_underlying(self):
         arr = np.array([1.0, 2.0])
         assert Tensor(arr).numpy() is arr
-
-    def test_no_grad_array_accepts_both(self):
-        arr = np.array([1.0])
-        assert no_grad_array(Tensor(arr)) is arr
-        assert np.array_equal(no_grad_array([1.0]), arr)
 
 
 class TestArithmeticGradients:
@@ -337,3 +332,60 @@ class TestPropertyBased:
         a = Tensor(np.zeros((n, 3)))
         b = Tensor(np.zeros((3, m)))
         assert (a @ b).shape == (n, m)
+
+
+class TestThreadSafety:
+    """Backward passes on different threads must not share state."""
+
+    @staticmethod
+    def _gradients(model, x, y, rounds):
+        from repro.nn.losses import cross_entropy
+        out = []
+        for _ in range(rounds):
+            model.zero_grad()
+            cross_entropy(model(Tensor(x)), y).backward()
+            out.append([p.grad.copy() for p in model.parameters()])
+        return out
+
+    def test_concurrent_backward_matches_serial(self):
+        import sys
+        import threading
+
+        from repro.nn.models import build_model
+
+        rounds = 20
+        jobs = []
+        for seed in (1, 2):
+            rng = np.random.default_rng(seed)
+            jobs.append((build_model("tinyresnet", 12, 4, rng=rng),
+                         rng.normal(size=(32, 12)),
+                         rng.integers(0, 4, size=32)))
+        serial = [self._gradients(m, x, y, rounds) for m, x, y in jobs]
+
+        results = [None, None]
+        errors = []
+        barrier = threading.Barrier(len(jobs))
+
+        def work(i):
+            try:
+                barrier.wait()
+                results[i] = self._gradients(*jobs[i], rounds)
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the two passes often
+        try:
+            threads = [threading.Thread(target=work, args=(i,))
+                       for i in range(len(jobs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not errors, errors
+        for got, want in zip(results, serial):
+            for got_round, want_round in zip(got, want):
+                for g, w in zip(got_round, want_round):
+                    assert g.tobytes() == w.tobytes()
