@@ -3,8 +3,7 @@
 PYTHON ?= python3
 
 .PHONY: install test bench report examples lint analyze graph \
-	analyze-smoke typecheck trace-smoke bench-hotpath bench-ingest \
-	chaos-smoke clean
+	analyze-smoke typecheck trace-smoke chaos-smoke clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -69,19 +68,6 @@ trace-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro trace --quiet \
 		-o trace_smoke.json \
 		--baseline benchmarks/baselines/trace_smoke.json
-
-bench-hotpath:
-	PYTHONPATH=src $(PYTHON) -m repro bench-hotpath \
-		--trace-out hotpath_trace.json \
-		--baseline benchmarks/baselines/hotpath_smoke.json
-
-# Concurrent-ingestion storm: N streams vs a 10^6-sample sharded
-# inventory; asserts bit-identical serial-vs-storm verdicts, the
-# datasets/s speedup floor and the committed counter baseline.
-bench-ingest:
-	PYTHONPATH=src $(PYTHON) -m repro ingest-storm \
-		--trace-out ingest_storm_trace.json \
-		--baseline benchmarks/baselines/ingest_storm_smoke.json
 
 chaos-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q \

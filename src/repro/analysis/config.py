@@ -70,16 +70,6 @@ LAYER_RANKS: Dict[str, int] = {
     "repro/__init__.py": 5,
 }
 
-#: Compatibility facades (REP602): ``module:symbol`` -> canonical
-#: home.  Importing the symbol *through the facade* from inside the
-#: library is a layering violation; the facade exists only so external
-#: users' imports keep working.  ``eval.timer`` re-exporting
-#: ``Stopwatch`` is the historical ``eval -> obs`` shim from the
-#: wall-clock migration (DESIGN.md §10).
-FACADE_IMPORTS: Dict[str, str] = {
-    "repro.eval.timer:Stopwatch": "repro.obs.clock",
-}
-
 #: Foreground entry points for the REP701 thread-escape analysis, as
 #: ``dotted.module:Qualified.name``.  Everything reachable from these
 #: (via resolvable calls) is "foreground"; everything reachable from a
@@ -149,8 +139,7 @@ class AnalysisConfig:
     #: Modules allowed to read wall clocks.  Everything else must go
     #: through :class:`repro.obs.Stopwatch` / the tracer so timing
     #: stays mockable and the work model stays the CI-gated quantity.
-    wallclock_allowed_prefixes: Tuple[str, ...] = (
-        "repro/obs/", "repro/eval/timer.py",)
+    wallclock_allowed_prefixes: Tuple[str, ...] = ("repro/obs/",)
 
     #: Stage entry points that must be traced.
     traced_entry_points: Dict[str, FrozenSet[str]] = field(
@@ -165,11 +154,6 @@ class AnalysisConfig:
     #: may only point at equal or lower ranks.
     layer_ranks: Dict[str, int] = field(
         default_factory=lambda: dict(LAYER_RANKS))
-
-    #: Compatibility facades for REP602: ``module:symbol`` -> canonical
-    #: home the symbol must be imported from inside the library.
-    facade_imports: Dict[str, str] = field(
-        default_factory=lambda: dict(FACADE_IMPORTS))
 
     #: Parameter names REP604 treats as Generator-valued: a function
     #: holding an RNG must bind these on every project callee that

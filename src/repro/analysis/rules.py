@@ -344,14 +344,14 @@ _CLOCK_CALLS = {
 
 @register
 class WallClockRule(Rule):
-    """Only obs (and its eval.timer facade) may read wall clocks."""
+    """Only obs may read wall clocks."""
 
     id = "REP401"
     title = "wall-clock"
     severity = Severity.ERROR
     description = (
         "raw clock reads (time.time/perf_counter/datetime.now) outside "
-        "repro.obs / repro.eval.timer scatter unmockable timing through "
+        "repro.obs scatter unmockable timing through "
         "the pipeline; use repro.obs.Stopwatch or a tracer span, which "
         "also record the deterministic work model.")
 
@@ -605,7 +605,7 @@ class ImportCycleRule(GraphRule):
 
 @register_graph
 class LayeringRule(GraphRule):
-    """Imports must respect the declared layer DAG (and facades)."""
+    """Imports must respect the declared layer DAG."""
 
     id = "REP602"
     title = "layering"
@@ -615,9 +615,7 @@ class LayeringRule(GraphRule):
         "noise/datasets -> core -> baselines/eval -> datalake -> "
         "experiments/cli, with obs/analysis importable everywhere) "
         "keeps low layers reusable and the dependency graph acyclic "
-        "by construction; importing upward, or importing a symbol "
-        "through a compatibility facade instead of its canonical "
-        "home, violates it.")
+        "by construction; importing upward violates it.")
 
     def check_project(self, project: "ProjectGraph",
                       config: AnalysisConfig,
@@ -629,7 +627,6 @@ class LayeringRule(GraphRule):
                 target = project.modules.get(edge.target)
                 if target is None:
                     continue
-                yield from self._check_facades(module, edge, config)
                 if edge.typeonly or source_rank is None:
                     continue
                 target_rank = _layer_rank(target.key, ranks)
@@ -640,21 +637,6 @@ class LayeringRule(GraphRule):
                        f"{source_rank}) imports {target.key} (layer "
                        f"{target_rank}); dependencies must point "
                        f"down the layer DAG")
-
-    @staticmethod
-    def _check_facades(module: str, edge, config: AnalysisConfig,
-                       ) -> Iterator[RawGraphFinding]:
-        for symbol in edge.names:
-            if not symbol:
-                continue
-            canonical = config.facade_imports.get(
-                f"{edge.target}:{symbol}")
-            if canonical is None or module == canonical:
-                continue
-            yield (module, edge.line, edge.col,
-                   f"{symbol!r} is imported through the "
-                   f"{edge.target} compatibility facade; inside the "
-                   f"library import it from {canonical}")
 
 
 @register_graph

@@ -88,7 +88,7 @@ class ModuleSymbols:
     #: names bound by top-level defs/classes/assignments (not imports)
     defined: Tuple[str, ...] = ()
     #: ``from``-import bindings: local name -> (level, raw module,
-    #: original name) — the re-export table REP603/facade checks walk.
+    #: original name) — the re-export table symbol resolution walks.
     bindings: Dict[str, Tuple[int, str, str]] = field(default_factory=dict)
     #: ``__all__`` names, or None when the module defines no __all__.
     exports: Optional[Tuple[str, ...]] = None

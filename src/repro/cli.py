@@ -9,7 +9,6 @@ Usage::
     python -m repro trace -o trace.json
     python -m repro trace --baseline benchmarks/baselines/trace_smoke.json
     python -m repro chaos --fail-stage iteration --fail-stage vote
-    python -m repro bench-hotpath --baseline benchmarks/baselines/hotpath_smoke.json
     python -m repro lint src --format sarif
     python -m repro deps --cycles
     python -m repro deps --why repro.core.enld repro.nn.train
@@ -248,119 +247,6 @@ def cmd_trace(args) -> int:
             print(f"invalid gate parameters: {exc}", file=sys.stderr)
             return 2
         return 0 if ok else 1
-    return 0
-
-
-def cmd_bench_hotpath(args) -> int:
-    """Hot-path A/B bench: legacy vs facade + cache — the perf-bench gate.
-
-    Runs two full detection streams on the same large-inventory world
-    (the seed implementation's cost structure vs the fused/indexed/
-    cached hot path), asserts bit-identical verdicts, prints the
-    per-stage speedup table, writes the full result JSON with
-    ``--trace-out``, and — with ``--baseline`` — gates the speedup
-    ratio, per-stage work counts and detection counters against the
-    committed baseline, returning exit code 1 on regression.  The
-    primary gate is the same-process speedup *ratio*, which is stable
-    across machines where absolute-seconds gates flake.
-    """
-    from .experiments.hotpath import (baseline_payload, format_hotpath_report,
-                                      gate_hotpath, run_hotpath_bench)
-    from .obs import save_trace
-
-    result = run_hotpath_bench(
-        samples_per_class=args.samples_per_class,
-        num_arrivals=args.arrivals, arrival_size=args.arrival_size,
-        noise_rate=args.noise_rate, seed=args.seed)
-    if not args.quiet:
-        print(format_hotpath_report(result))
-    if args.trace_out:
-        save_trace(result, args.trace_out)
-        print(f"wrote bench result to {args.trace_out}")
-    if args.refresh_baseline:
-        save_trace(baseline_payload(result), args.refresh_baseline)
-        print(f"wrote baseline to {args.refresh_baseline}")
-        return 0
-    if args.baseline:
-        try:
-            with open(args.baseline) as fh:
-                baseline = json.load(fh)
-        except FileNotFoundError:
-            print(f"baseline file not found: {args.baseline}",
-                  file=sys.stderr)
-            return 2
-        violations = gate_hotpath(result, baseline,
-                                  tolerance=args.tolerance)
-        if violations:
-            print("hot-path bench gate FAILED:", file=sys.stderr)
-            for v in violations:
-                print(f"  - {v}", file=sys.stderr)
-            return 1
-        print(f"hot-path bench gate passed "
-              f"({result['speedup']:.2f}x vs baseline "
-              f"{baseline.get('speedup', 0.0):.2f}x)")
-    if not result["verdicts_identical"]:
-        print("legacy and hot verdicts disagree", file=sys.stderr)
-        return 1
-    return 0
-
-
-def cmd_ingest_storm(args) -> int:
-    """Concurrent-ingestion storm bench — the second perf-bench gate.
-
-    Runs the same multi-stream arrival storm twice against identically
-    initialised platforms — sequential baseline vs the DESIGN.md §14
-    pipeline (N producer streams, bounded backpressure queue, worker
-    pool, sharded inventory) — asserts bit-identical verdicts, prints
-    the datasets/s / samples/s comparison, and — with ``--baseline`` —
-    gates the speedup ratio, the backpressure invariants and the
-    deterministic counters against the committed baseline.  The lake
-    fetch is a simulated latency, so the ratio transfers across
-    machines the same way the hotpath ratio does.
-    """
-    from .experiments.ingest_storm import (baseline_payload,
-                                           format_storm_report,
-                                           gate_ingest_storm,
-                                           run_ingest_storm)
-    from .obs import save_trace
-
-    result = run_ingest_storm(
-        samples_per_class=args.samples_per_class,
-        inventory_size=args.inventory_size, pool_size=args.pool_size,
-        num_arrivals=args.arrivals, streams=args.streams,
-        workers=args.workers, queue_capacity=args.queue_capacity,
-        rtt_seconds=args.rtt, per_sample_seconds=args.per_sample,
-        noise_rate=args.noise_rate, seed=args.seed)
-    if not args.quiet:
-        print(format_storm_report(result))
-    if args.trace_out:
-        save_trace(result, args.trace_out)
-        print(f"wrote bench result to {args.trace_out}")
-    if args.refresh_baseline:
-        save_trace(baseline_payload(result), args.refresh_baseline)
-        print(f"wrote baseline to {args.refresh_baseline}")
-        return 0
-    if args.baseline:
-        try:
-            with open(args.baseline) as fh:
-                baseline = json.load(fh)
-        except FileNotFoundError:
-            print(f"baseline file not found: {args.baseline}",
-                  file=sys.stderr)
-            return 2
-        violations = gate_ingest_storm(result, baseline,
-                                       tolerance=args.tolerance)
-        if violations:
-            print("ingest-storm bench gate FAILED:", file=sys.stderr)
-            for v in violations:
-                print(f"  - {v}", file=sys.stderr)
-            return 1
-        print(f"ingest-storm bench gate passed "
-              f"({result['speedup']:.2f}x vs baseline "
-              f"{baseline.get('speedup', 0.0):.2f}x)")
-    if not result["verdicts_identical"]:
-        print("serial and concurrent verdicts disagree", file=sys.stderr)
-        return 1
     return 0
 
 
@@ -691,65 +577,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--quiet", action="store_true",
                          help="suppress the summary table")
     p_trace.set_defaults(fn=cmd_trace)
-
-    p_hot = sub.add_parser(
-        "bench-hotpath",
-        help="legacy-vs-hot detection A/B bench + perf-bench gate")
-    p_hot.add_argument("--samples-per-class", type=int, default=7500,
-                       help="inventory scale; the default reproduces "
-                            "the committed baseline world")
-    p_hot.add_argument("--arrivals", type=int, default=4)
-    p_hot.add_argument("--arrival-size", type=int, default=200)
-    p_hot.add_argument("--noise-rate", type=float, default=0.4)
-    p_hot.add_argument("--seed", type=int, default=11)
-    p_hot.add_argument("--trace-out", dest="trace_out",
-                       help="write the full bench result JSON here")
-    p_hot.add_argument("--baseline",
-                       help="gate speedup/work/counters against this "
-                            "committed baseline JSON")
-    p_hot.add_argument("--tolerance", type=float, default=0.15,
-                       help="relative tolerance for the baseline gate "
-                            "(default 0.15)")
-    p_hot.add_argument("--refresh-baseline", metavar="FILE",
-                       help="write FILE from this run instead of gating")
-    p_hot.add_argument("--quiet", action="store_true",
-                       help="suppress the per-stage speedup table")
-    p_hot.set_defaults(fn=cmd_bench_hotpath)
-
-    p_storm = sub.add_parser(
-        "ingest-storm",
-        help="concurrent-vs-serial ingestion bench + perf-bench gate")
-    p_storm.add_argument("--samples-per-class", type=int, default=133_000,
-                         help="world scale; the default builds the "
-                              "committed-baseline 10^6+ inventory")
-    p_storm.add_argument("--inventory-size", type=int, default=1_050_000)
-    p_storm.add_argument("--pool-size", type=int, default=4_800)
-    p_storm.add_argument("--arrivals", type=int, default=8,
-                         help="total arrivals across all streams")
-    p_storm.add_argument("--streams", type=int, default=4,
-                         help="concurrent arrival streams (split of one "
-                              "parent stream)")
-    p_storm.add_argument("--workers", type=int, default=4)
-    p_storm.add_argument("--queue-capacity", type=int, default=8)
-    p_storm.add_argument("--rtt", type=float, default=2.0,
-                         help="simulated lake-fetch round trip (s)")
-    p_storm.add_argument("--per-sample", type=float, default=0.02,
-                         help="simulated lake-fetch seconds per sample")
-    p_storm.add_argument("--noise-rate", type=float, default=0.3)
-    p_storm.add_argument("--seed", type=int, default=11)
-    p_storm.add_argument("--trace-out", dest="trace_out",
-                         help="write the full bench result JSON here")
-    p_storm.add_argument("--baseline",
-                         help="gate speedup/invariants/counters against "
-                              "this committed baseline JSON")
-    p_storm.add_argument("--tolerance", type=float, default=0.15,
-                         help="relative tolerance for the baseline gate "
-                              "(default 0.15)")
-    p_storm.add_argument("--refresh-baseline", metavar="FILE",
-                         help="write FILE from this run instead of gating")
-    p_storm.add_argument("--quiet", action="store_true",
-                         help="suppress the summary table")
-    p_storm.set_defaults(fn=cmd_ingest_storm)
 
     p_chaos = sub.add_parser(
         "chaos", help="fault-injected platform run + resume round-trip")

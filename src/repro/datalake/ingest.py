@@ -28,8 +28,8 @@ Design (mirrors the REP701–705 discipline the updater established):
   stream — so a verdict is a pure function of (model, arrival, seed)
   and identical no matter how streams interleave.  ``mode="serial"``
   runs the exact same derivation inline, which is the sequential
-  baseline the ``ingest_storm`` bench and the concurrency tests compare
-  against, bit for bit.
+  baseline the concurrency tests and the ``lake_churn`` benchmark
+  workload compare against, bit for bit.
 - **Epoch guard.**  Each dispatched task pins the model epoch (the
   catalog version count) and an O(1) by-reference snapshot of
   ``(θ, I_c, P̃)``.  Commits happen strictly in admission order; if a
@@ -344,8 +344,8 @@ class IngestPipeline:
         Pool shape (:class:`IngestConfig`); default two threads.
     fetch:
         Optional lake-fetch callable applied to every arrival on the
-        producer threads — model I/O latency here (the ``ingest_storm``
-        bench does) or plug in a real lake client.
+        producer threads — model I/O latency here or plug in a real
+        lake client.
     """
 
     def __init__(self, platform: NoisyLabelPlatform,

@@ -7,16 +7,13 @@ from .reporting import (format_table, method_comparison_table, series_table,
                         speedup_line)
 from .runner import MethodReport, ShardOutcome, compare_detectors, run_detector
 from .significance import PairedComparison, paired_bootstrap
-# Stopwatch's canonical home is repro.obs.clock; repro.eval.timer only
-# re-exports it for external compatibility (REP602 facade contract).
-from ..obs.clock import Stopwatch
 from .timer import CostProfile
 
 __all__ = [
     "DetectionScore", "score_masks", "score_detection", "score_trace",
     "true_noise_mask",
     "MethodReport", "ShardOutcome", "run_detector", "compare_detectors",
-    "CostProfile", "Stopwatch",
+    "CostProfile",
     "format_table", "method_comparison_table", "series_table", "speedup_line",
     "write_csv", "write_json", "load_json", "report_rows",
     "paired_bootstrap", "PairedComparison",

@@ -13,12 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
-# Wall-clock reads are owned by observability; re-exported here so
-# existing ``from repro.eval.timer import Stopwatch`` callers keep
-# working.
-from ..obs.clock import Stopwatch
-
-__all__ = ["Stopwatch", "CostProfile"]
+__all__ = ["CostProfile"]
 
 
 @dataclass

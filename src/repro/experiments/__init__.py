@@ -8,8 +8,6 @@ from .figures import (ABLATIONS, METHOD_ORDER, fig3_contribution, fig4_emnist,
                       method_comparison, table2_model_update)
 from .harness import (Environment, build_baselines, build_enld,
                       build_environment)
-from .hotpath import (HOTPATH_SPEEDUP_FLOOR, format_hotpath_report,
-                      gate_hotpath, run_hotpath_bench)
 from .presets import (PAPER_NOISE_RATES, ExperimentPreset, bench_preset,
                       full_preset, small_preset)
 from .theory import STRATEGIES, contribution_experiment
@@ -19,8 +17,6 @@ __all__ = [
     "PAPER_NOISE_RATES",
     "Environment", "build_environment", "build_enld", "build_baselines",
     "contribution_experiment", "STRATEGIES",
-    "run_hotpath_bench", "gate_hotpath", "format_hotpath_report",
-    "HOTPATH_SPEEDUP_FLOOR",
     "method_comparison", "fig3_contribution", "fig4_emnist", "fig5_cifar100",
     "fig6_networks", "fig7_tiny_imagenet", "fig8_time_cost",
     "fig9_training_process", "fig10_policies", "fig11_12_k_sweep",

@@ -2,8 +2,35 @@
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import os
+
 import numpy as np
 import pytest
+
+
+def _pin_blas_to_one_thread() -> None:
+    """Run numpy's bundled OpenBLAS on one thread in every test process.
+
+    numpy is already imported, so ``OPENBLAS_NUM_THREADS`` no longer
+    reaches this process's BLAS; the library's own setter does.  The
+    variable is still set for spawned worker processes, which import
+    numpy afresh.  A numpy built against another BLAS is left alone.
+    """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    libs_dir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                            "numpy.libs")
+    for path in glob.glob(os.path.join(libs_dir,
+                                       "libscipy_openblas64_-*.so")):
+        try:
+            setter = ctypes.CDLL(path).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        setter(1)
+
+
+_pin_blas_to_one_thread()
 
 from repro.datasets import generate, toy
 from repro.nn.data import LabeledDataset

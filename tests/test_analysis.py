@@ -183,11 +183,13 @@ class TestWallClockRule:
             "repro/obs/clock.py")
         assert rules_of(findings) == []
 
-    def test_eval_timer_allowed(self):
+    def test_eval_timer_flagged(self):
+        # eval.timer only aggregates measured seconds; reading a clock
+        # there would bypass obs like anywhere else.
         findings = analyze_source(
             "import time\nstart = time.perf_counter()\n",
             "repro/eval/timer.py")
-        assert rules_of(findings) == []
+        assert rules_of(findings) == ["REP401"]
 
     def test_sleep_is_not_a_clock_read(self):
         assert rules_of(check("import time\ntime.sleep(0)\n")) == []
@@ -524,20 +526,11 @@ class TestLiveTree:
         assert not messages, "\n".join(messages)
         assert not result.stale_baseline
 
-    def test_committed_baseline_holds_only_the_facade_entry(self):
-        # Policy: the baseline only ever shrinks.  The per-file sweep
-        # fixed every true positive; the REP6xx sweep grandfathered
-        # exactly one finding — the dead ``Stopwatch`` re-export on the
-        # ``repro.eval.timer`` facade, kept for external callers
-        # (DESIGN.md §10).  Grandfathering anything further needs a
-        # justification in DESIGN.md.
+    def test_committed_baseline_is_empty(self):
+        # Policy: the baseline only ever shrinks, and it is now empty:
+        # every true positive was fixed and the one grandfathered
+        # finding went with the code it excused.  Grandfathering
+        # anything new needs a justification in DESIGN.md.
         baseline = load_baseline(
             os.path.join(REPO_ROOT, DEFAULT_BASELINE_PATH))
-        assert len(baseline) == 1
-        (entry,) = baseline.values()
-        assert entry["rule"] == "REP603"
-        assert entry["path"] == "repro/eval/timer.py"
-        assert "Stopwatch" in entry["message"]
-        # Every surviving grandfather must say *why* it stays; the
-        # reason rides along through ``--write-baseline`` rewrites.
-        assert "facade" in str(entry["reason"])
+        assert baseline == {}

@@ -137,22 +137,6 @@ class TestLayering:
         })
         assert "REP602" not in active_rules(analyze_paths([root]))
 
-    def test_facade_import_flagged_inside_library(self, tmp_path):
-        # datalake (rank 4) may import eval (rank 3), but must take
-        # Stopwatch from its canonical home, not the timer facade.
-        root = write_tree(tmp_path, {
-            "repro/__init__.py": "",
-            "repro/eval/__init__.py": "",
-            "repro/eval/timer.py": "Stopwatch = object\n",
-            "repro/datalake/__init__.py": "",
-            "repro/datalake/x.py":
-                "from repro.eval.timer import Stopwatch\n",
-        })
-        result = analyze_paths([root])
-        facade = [f for f in result.findings if f.rule == "REP602"]
-        assert len(facade) == 1
-        assert "repro.obs.clock" in facade[0].message
-
     def test_noqa_suppresses_graph_finding(self, tmp_path):
         root = write_tree(tmp_path, {
             "repro/__init__.py": "",

@@ -143,13 +143,6 @@ class TestCostProfile:
             sum(range(1000))
         assert sw.seconds >= 0
 
-    def test_timer_facade_still_reexports_stopwatch(self):
-        # External ``from repro.eval.timer import Stopwatch`` callers
-        # must keep working; inside the library REP602 bans the shim.
-        from repro.eval import timer
-        assert timer.Stopwatch is Stopwatch
-        assert "Stopwatch" in timer.__all__
-
 
 class TestRunner:
     def test_run_detector_aggregates(self, trained_blob_model, blobs, rng):

@@ -114,6 +114,9 @@ class ReaderHammer:
                 if cache is not None:
                     cache.stats()
                 self.loops += 1
+                # Yield the GIL each loop: four spinning readers would
+                # otherwise starve the update worker they race.
+                self.stop.wait(0)
         except BaseException as exc:  # noqa: BLE001 — reported above
             self.errors.append(exc)
 
