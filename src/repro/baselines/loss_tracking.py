@@ -26,10 +26,9 @@ import numpy as np
 
 from ..core.detector import DetectionResult
 from ..nn.data import LabeledDataset
-from ..nn.losses import cross_entropy
+from ..nn.losses import cross_entropy_array
 from ..nn.models import build_model
 from ..nn.optim import SGD
-from ..nn.tensor import Tensor
 from ..nn.train import fit_epoch
 from ..noise.injector import MISSING_LABEL
 from ..obs import trace_span
@@ -43,9 +42,9 @@ def per_sample_losses(model, dataset: LabeledDataset,
     out = np.empty(len(dataset))
     for start in range(0, len(dataset), batch_size):
         yb = dataset.y[start:start + batch_size]
-        losses = cross_entropy(Tensor(logits[start:start + batch_size]), yb,
-                               reduction="none")
-        out[start:start + len(yb)] = losses.data
+        losses, _ = cross_entropy_array(logits[start:start + batch_size], yb,
+                                        reduction="none")
+        out[start:start + len(yb)] = losses
     return out
 
 

@@ -45,6 +45,7 @@ the owner-side stages, matching the updater's policy.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import queue
 import threading
@@ -529,6 +530,10 @@ class IngestPipeline:
                 backoff_base=platform.retry.backoff_base,
                 max_backoff=platform.retry.max_backoff,
                 jitter=platform.retry.jitter)
+            # A spawn worker starts as a fork of this process, so its
+            # peak RSS starts from ours: first free what only reference
+            # cycles still hold (platforms dropped earlier, for one).
+            gc.collect()
             executor = ProcessPoolExecutor(
                 max_workers=cfg.workers,
                 mp_context=multiprocessing.get_context("spawn"),

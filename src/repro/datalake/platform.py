@@ -42,6 +42,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import weakref
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -206,10 +207,16 @@ class NoisyLabelPlatform:
 
     def _build_update_service(self, updater: Optional[UpdaterConfig]
                               ) -> ModelUpdateService:
+        # The callbacks reach the platform through a weak reference.  A
+        # strong one would make platform and service a reference cycle,
+        # so a dropped platform (model, inventory, catalog) would stay
+        # in memory until the next full cyclic collection.
+        platform = weakref.proxy(self)
         return ModelUpdateService(
             self.enld, self.catalog, config=updater,
-            span_hook=self._fault_injector, on_swap=self._record_swap,
-            progress=lambda: self.submissions)
+            span_hook=self._fault_injector,
+            on_swap=lambda version: platform._record_swap(version),
+            progress=lambda: platform.submissions)
 
     def _record_swap(self, version: ModelVersion) -> None:
         """Post-swap bookkeeping (runs inside the publish stage)."""

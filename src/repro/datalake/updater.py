@@ -53,6 +53,7 @@ import hashlib
 import json
 import multiprocessing
 import threading
+import time
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection
 from multiprocessing.process import BaseProcess
@@ -354,6 +355,12 @@ class ModelUpdateService:
         result was installed during this poll; ``failure`` carries the
         attempt that failed (watchdog abort, worker error, injected
         fault), if any.  Never raises.
+
+        While a thread-mode worker is still training, poll yields the
+        GIL once before it returns.  The worker releases the GIL in
+        every numpy call and must win it back each time; a caller that
+        spins on poll would otherwise hold it for a whole switch
+        interval (5 ms) per call and slow the update a hundredfold.
         """
         job = self._job
         if job is None:
@@ -385,6 +392,8 @@ class ModelUpdateService:
                     f"update watchdog: training attempt exceeded "
                     f"{timeout}s; worker abandoned")
                 return False, self._note_attempt(job, exc)
+            if isinstance(self._worker, threading.Thread):
+                time.sleep(0)  # releases the GIL to the worker
             return False, None
         if state == "error":
             assert isinstance(value, BaseException)

@@ -20,11 +20,11 @@ from .models import (Classifier, DenseNetMLP, MLPClassifier, ResNetMLP,
 from .optim import SGD, Adam, CosineLR, StepLR, clip_grad_norm
 from .rng import resolve_rng
 from .serialize import clone_module, copy_into, load_checkpoint, save_checkpoint
-from .tensor import Tensor, concatenate, stack
+from .tensor import Tensor, concatenate
 from .train import TrainReport, evaluate_loss, fit, fit_epoch
 
 __all__ = [
-    "Tensor", "concatenate", "stack",
+    "Tensor", "concatenate",
     "Module", "Linear", "Conv2d", "ReLU", "Tanh", "Dropout", "BatchNorm1d",
     "LayerNorm", "Sequential", "Flatten",
     "Classifier", "MLPClassifier", "ResNetMLP", "DenseNetMLP", "SmallConvNet",

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from . import functional as F
-from .layers import BatchNorm1d, Conv2d, Linear, Module
+from .layers import BatchNorm1d, Conv2d, Linear, Module, relu_train
 from .rng import resolve_rng
 from .tensor import Tensor, concatenate
 
@@ -62,6 +62,31 @@ class ResidualMLPBlock(Module):
     def _infer_(self, h: np.ndarray) -> np.ndarray:
         return np.add(h, self._branch(h), out=h)
 
+    def train_forward(self, x, input_grad=True):
+        h, norm1 = x, None
+        if self.norm1 is not None:
+            h, norm1 = self.norm1.train_forward(h, input_grad)
+        h, mask1 = relu_train(h)
+        h, fc1 = self.fc1.train_forward(
+            h, input_grad or self.norm1 is not None)
+        norm2 = None
+        if self.norm2 is not None:
+            h, norm2 = self.norm2.train_forward(h)
+        h, mask2 = relu_train(h)
+        h, fc2 = self.fc2.train_forward(h)
+        return x + h, (norm1, mask1, fc1, norm2, mask2, fc2, input_grad)
+
+    def backward(self, ctx, grad_out):
+        norm1, mask1, fc1, norm2, mask2, fc2, input_grad = ctx
+        grad = self.fc2.backward(fc2, grad_out) * mask2
+        if self.norm2 is not None:
+            grad = self.norm2.backward(norm2, grad)
+        grad = self.fc1.backward(fc1, grad)
+        if self.norm1 is not None:
+            # The residual reaches x first in the graph's routing order.
+            return self.norm1.backward_onto(norm1, grad * mask1, grad_out)
+        return grad_out + grad * mask1 if input_grad else None
+
 
 class DenseMLPBlock(Module):
     """Dense block: each layer sees the concatenation of all earlier outputs.
@@ -100,6 +125,28 @@ class DenseMLPBlock(Module):
             width += new.shape[1]
         return out
 
+    def train_forward(self, x, input_grad=True):
+        features = x
+        ctxs = []
+        for i, layer in enumerate(self.layers):
+            h, mask = relu_train(features)
+            new, ctx = layer.train_forward(h, input_grad or i > 0)
+            ctxs.append((features.shape[1], mask, ctx))
+            features = np.concatenate([features, new], axis=1)
+        return features, (ctxs, input_grad)
+
+    def backward(self, ctx, grad_out):
+        ctxs, input_grad = ctx
+        grad = grad_out
+        for i in reversed(range(len(self.layers))):
+            width, mask, layer_ctx = ctxs[i]
+            # The concatenation splits the gradient into column views.
+            grad_new = self.layers[i].backward(layer_ctx, grad[:, width:])
+            if i == 0 and not input_grad:
+                return None
+            grad = grad[:, :width] + grad_new * mask
+        return grad
+
 
 class TransitionMLP(Module):
     """Compress dense-block output back down (DenseNet transition analog)."""
@@ -117,6 +164,16 @@ class TransitionMLP(Module):
 
     def _infer_(self, h: np.ndarray) -> np.ndarray:
         return self.fc.infer(F.relu_(h))
+
+    def train_forward(self, x, input_grad=True):
+        h, mask = relu_train(x)
+        out, ctx = self.fc.train_forward(h, input_grad)
+        return out, (mask, ctx)
+
+    def backward(self, ctx, grad_out):
+        mask, fc = ctx
+        grad = self.fc.backward(fc, grad_out)
+        return None if grad is None else grad * mask
 
 
 class ResidualConvBlock(Module):
@@ -144,3 +201,16 @@ class ResidualConvBlock(Module):
 
     def _infer_(self, h: np.ndarray) -> np.ndarray:
         return np.add(h, self._branch(h), out=h)
+
+    def train_forward(self, x, input_grad=True):
+        h, mask1 = relu_train(x)
+        h, conv1 = self.conv1.train_forward(h, input_grad)
+        h, mask2 = relu_train(h)
+        h, conv2 = self.conv2.train_forward(h)
+        return x + h, (mask1, conv1, mask2, conv2)
+
+    def backward(self, ctx, grad_out):
+        mask1, conv1, mask2, conv2 = ctx
+        grad = self.conv2.backward(conv2, grad_out) * mask2
+        grad = self.conv1.backward(conv1, grad)
+        return None if grad is None else grad_out + grad * mask1

@@ -7,9 +7,11 @@ im2col-based 2-D convolution used by the convolutional model variants.
 
 The ``*_array`` functions and the in-place ``relu_``/``softmax_rows_``
 are their plain-numpy counterparts for the eval-mode inference path
-(``Module.infer``).  Where an op takes more than one numpy expression,
-the Tensor op and its counterpart share one helper, so both compute the
-same IEEE operations in the same order.
+(``Module.infer``); the ``*_backward``/``*_grad`` helpers and
+:func:`norm_train` serve the autograd-free training path
+(``Module.train_forward``/``Module.backward``).  Where an op takes more
+than one numpy expression, the Tensor op and its counterpart share one
+helper, so both compute the same IEEE operations in the same order.
 """
 
 from __future__ import annotations
@@ -33,6 +35,36 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable log-softmax along ``axis``."""
     shifted = x - x.max(axis=axis, keepdims=True).detach()
     return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
+
+
+def log_softmax_rows(logits: np.ndarray
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`log_softmax` over axis 1 of a numpy array.
+
+    Returns the log-probabilities plus the exponentials and their row
+    sums, which :func:`log_softmax_rows_backward` needs.
+    """
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    total = exp.sum(axis=1, keepdims=True)
+    return shifted - np.log(total), exp, total
+
+
+def log_softmax_rows_backward(grad: np.ndarray, exp: np.ndarray,
+                              total: np.ndarray) -> np.ndarray:
+    """Gradient of :func:`log_softmax_rows` with respect to the logits,
+    summed as :func:`log_softmax`'s graph routes it."""
+    grad_total = _sum_to(-grad, total.shape) / total
+    return grad + grad_total * exp
+
+
+def _sum_to(grad: np.ndarray, stat_shape: Tuple[int, ...]) -> np.ndarray:
+    """``Tensor``'s ``_unbroadcast`` of ``grad`` to a keepdims
+    statistic: a sum over the one axis where the shapes differ."""
+    for axis, (size, full) in enumerate(zip(stat_shape, grad.shape)):
+        if size != full:
+            return grad.sum(axis=axis, keepdims=True)
+    return grad
 
 
 def relu_array(x: np.ndarray) -> np.ndarray:
@@ -168,17 +200,33 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     def backward(grad: np.ndarray) -> None:
         grad_mat = grad.reshape(n, c_out, -1)  # (N, C_out, OH*OW)
         if weight.requires_grad:
-            gw = np.einsum("nop,ncp->oc", grad_mat, cols)
-            weight._route(gw.reshape(weight.shape))
+            weight._route(conv2d_weight_grad(grad_mat, cols, weight.shape))
         if bias is not None and bias.requires_grad:
             bias._route(grad.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            gcols = np.einsum("oc,nop->ncp", w_mat, grad_mat)
-            gx = np.zeros((n, c_in, h, w), dtype=x.data.dtype)
-            np.add.at(gx, (slice(None), k, i, j), gcols)
-            x._route(gx)
+            x._route(conv2d_input_grad(grad_mat, w_mat, (k, i, j),
+                                       (n, c_in, h, w)))
 
     return Tensor._make(out, parents, backward)
+
+
+def conv2d_weight_grad(grad_mat: np.ndarray, cols: np.ndarray,
+                       weight_shape: Tuple[int, ...]) -> np.ndarray:
+    """Kernel gradient of :func:`_conv2d_padded` from the output
+    gradient viewed as ``(N, C_out, OH*OW)``."""
+    return np.einsum("nop,ncp->oc", grad_mat, cols).reshape(weight_shape)
+
+
+def conv2d_input_grad(grad_mat: np.ndarray, w_mat: np.ndarray,
+                      indices: Tuple[np.ndarray, np.ndarray, np.ndarray],
+                      x_shape: Tuple[int, int, int, int]) -> np.ndarray:
+    """Gradient of :func:`_conv2d_padded` with respect to its (padded)
+    input: the column gradients scattered back through im2col."""
+    k, i, j = indices
+    gcols = np.einsum("oc,nop->ncp", w_mat, grad_mat)
+    gx = np.zeros(x_shape, dtype=np.float64)
+    np.add.at(gx, (slice(None), k, i, j), gcols)
+    return gx
 
 
 def _pool_windows(x: np.ndarray, kernel: int,
@@ -198,17 +246,25 @@ def max_pool2d_array(x: np.ndarray, kernel: int,
     return _pool_windows(x, kernel, stride).max(axis=(3, 5))
 
 
+def max_pool2d_backward(grad: np.ndarray, windows: np.ndarray,
+                        out: np.ndarray) -> np.ndarray:
+    """Input gradient of max pooling: each output gradient is split
+    evenly among the maxima of its window.  ``windows`` is the input
+    as :func:`_pool_windows` views it, ``out`` the pooled output."""
+    mask = (windows == out[:, :, :, None, :, None])
+    counts = mask.sum(axis=(3, 5), keepdims=True)
+    g = mask * grad[:, :, :, None, :, None] / counts
+    n, c, oh, kh, ow, kw = windows.shape
+    return g.reshape(n, c, oh * kh, ow * kw)
+
+
 def max_pool2d(x: Tensor, kernel: int, stride: Optional[int] = None) -> Tensor:
     """Max pooling over non-overlapping (or strided) square windows."""
     reshaped = _pool_windows(x.data, kernel, stride)
     out = reshaped.max(axis=(3, 5))
 
     def backward(grad: np.ndarray) -> None:
-        expanded = out[:, :, :, None, :, None]
-        mask = (reshaped == expanded)
-        counts = mask.sum(axis=(3, 5), keepdims=True)
-        g = mask * grad[:, :, :, None, :, None] / counts
-        x._route(g.reshape(x.shape))
+        x._route(max_pool2d_backward(grad, reshaped, out))
 
     return Tensor._make(out, (x,), backward)
 
@@ -224,6 +280,60 @@ def global_avg_pool2d_array(x: np.ndarray) -> np.ndarray:
     out = x.sum(axis=(2, 3))
     out *= 1.0 / (x.shape[2] * x.shape[3])
     return out
+
+
+def global_avg_pool2d_backward(grad: np.ndarray,
+                               x_shape: Tuple[int, ...]) -> np.ndarray:
+    """Input gradient of :func:`global_avg_pool2d`, as the graph of a
+    sum times the reciprocal count computes it."""
+    scaled = grad * (1.0 / (x_shape[2] * x_shape[3]))
+    return np.broadcast_to(scaled[:, :, None, None], x_shape).copy()
+
+
+def norm_train(x: np.ndarray, axis: int, eps: float):
+    """Normalise ``x`` by its batch statistics along ``axis``.
+
+    The training-mode arithmetic of :class:`BatchNorm1d` (``axis=0``)
+    and :class:`LayerNorm` (``axis=-1``): ``(x - mean) / (var + eps) **
+    0.5`` with the mean a sum times the reciprocal count, as
+    :meth:`Tensor.mean` and :meth:`Tensor.var` compute it.  Returns the
+    normalised array plus the cache :func:`norm_backward` takes; the
+    cache's first two entries are the mean and the (biased) variance.
+    """
+    inv_count = 1.0 / x.shape[axis]
+    mean = x.sum(axis=axis, keepdims=True) * inv_count
+    centered = x - mean
+    var = (centered * centered).sum(axis=axis, keepdims=True) * inv_count
+    shifted_var = var + eps
+    std = shifted_var ** 0.5
+    norm = centered / std
+    return norm, (mean, var, centered, shifted_var, std, inv_count)
+
+
+def norm_backward(grad: np.ndarray, cache: tuple,
+                  acc: Optional[np.ndarray] = None) -> np.ndarray:
+    """Input gradient of :func:`norm_train` from the gradient of its
+    output, added onto ``acc`` (an input gradient from another path).
+
+    The graph of ``(x - mean) / (x.var() + eps) ** 0.5`` reaches ``x``
+    by four paths; their terms are summed in the order the graph
+    routes them, ``acc`` first: the ``x - mean`` branch, the sum of the
+    mean, the centred ``x - mu`` inside the variance, then the sum of
+    that ``mu``.  Sums of three or more terms depend on that order.
+    """
+    mean, var, centered, shifted_var, std, inv_count = cache
+    stat_shape = std.shape
+    grad_centered = grad / std
+    grad_std = _sum_to(-grad * centered / (std ** 2), stat_shape)
+    grad_var = grad_std * 0.5 * shifted_var ** (0.5 - 1)
+    grad_sq = grad_var * inv_count * centered
+    grad_sq = grad_sq + grad_sq  # both factors of centered * centered
+    mean_term = _sum_to(-grad_centered, stat_shape) * inv_count
+    mu_term = _sum_to(-grad_sq, stat_shape) * inv_count
+    total = grad_centered if acc is None else acc + grad_centered
+    total = total + mean_term
+    total = total + grad_sq
+    return total + mu_term
 
 
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:

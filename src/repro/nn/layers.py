@@ -5,14 +5,25 @@ scale: every layer derives from :class:`Module`, exposes
 ``parameters()`` for optimisers, a ``train()``/``eval()`` mode switch,
 and a ``__call__``/``forward`` contract.
 
-``forward`` builds the autograd graph and serves training.  Inference
-goes through ``infer``: plain numpy, always eval mode, bit-identical to
-the eval-mode ``forward`` (same IEEE operations in the same order).
+Every module computes on three paths, all giving the same bytes:
+
+- ``forward`` builds the :class:`~repro.nn.tensor.Tensor` autograd
+  graph.  It is the reference the other two paths are tested against,
+  and the default body of ``train_forward``/``backward`` for a module
+  that does not override them.
+- ``train_forward``/``backward`` train on plain numpy: the forward
+  returns its output plus the activations it saved, and the backward
+  adds parameter gradients into ``p.grad`` and returns the input
+  gradient.  Both run the graph's IEEE operations in the graph's
+  order, so gradients, weights and running statistics are byte-equal
+  to training through ``forward``.
+- ``infer`` serves inference: plain numpy, always eval mode,
+  bit-identical to the eval-mode ``forward``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -167,6 +178,71 @@ class Module:
         ``h`` to save an allocation."""
         return self.infer(h)
 
+    # -- training ------------------------------------------------------------
+    def train_forward(self, x: np.ndarray, input_grad: bool = True
+                      ) -> Tuple[np.ndarray, object]:
+        """:meth:`forward` on a float64 numpy batch, for training.
+
+        Returns the output and a context holding what :meth:`backward`
+        needs.  Honours ``training`` as ``forward`` does, updates the
+        same state (running statistics, dropout RNG draws) and never
+        writes into ``x``.  ``input_grad=False`` says the caller needs
+        no gradient for ``x``; :meth:`backward` may then return
+        ``None``.  This default runs ``forward`` on the Tensor graph;
+        every built-in module overrides it with plain numpy.
+        """
+        return graph_train_forward(self.forward, x, input_grad)
+
+    def backward(self, ctx, grad_out: np.ndarray) -> Optional[np.ndarray]:
+        """Backpropagate ``grad_out`` through a :meth:`train_forward`.
+
+        Adds each parameter's gradient into ``p.grad`` (as the graph's
+        leaf accumulation does) and returns the gradient of the input.
+        """
+        return graph_backward(ctx, grad_out)
+
+
+def graph_train_forward(fn: Callable[[Tensor], Tensor], x: np.ndarray,
+                        input_grad: bool) -> Tuple[np.ndarray, tuple]:
+    """Run ``fn`` on the Tensor graph as a ``train_forward``."""
+    inp = Tensor(x, requires_grad=input_grad)
+    out = fn(inp)
+    return out.data, (inp, out)
+
+
+def graph_backward(ctx: tuple, grad_out: np.ndarray
+                   ) -> Optional[np.ndarray]:
+    """The ``backward`` of :func:`graph_train_forward`."""
+    inp, out = ctx
+    out.backward(grad_out)
+    return inp.grad if inp.requires_grad else None
+
+
+def chain_train_forward(layers: Sequence[Module], x: np.ndarray,
+                        input_grad: bool) -> Tuple[np.ndarray, list]:
+    """``train_forward`` through ``layers`` in order."""
+    ctxs = []
+    for layer in layers:
+        x, ctx = layer.train_forward(x, input_grad)
+        ctxs.append(ctx)
+        input_grad = True
+    return x, ctxs
+
+
+def chain_backward(layers: Sequence[Module], ctxs: list,
+                   grad: np.ndarray) -> Optional[np.ndarray]:
+    """The ``backward`` of :func:`chain_train_forward`."""
+    for layer, ctx in zip(reversed(layers), reversed(ctxs)):
+        grad = layer.backward(ctx, grad)
+    return grad
+
+
+def relu_train(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """:meth:`Tensor.relu` for training: the output and the mask its
+    backward multiplies by."""
+    mask = x > 0
+    return x * mask, mask
+
 
 class Linear(Module):
     """Fully connected layer ``y = x W^T + b``."""
@@ -191,6 +267,17 @@ class Linear(Module):
         if self.bias is not None:
             out += self.bias.data
         return out
+
+    def train_forward(self, x, input_grad=True):
+        return self.infer(x), (x, input_grad)
+
+    def backward(self, ctx, grad_out):
+        x, input_grad = ctx
+        # The graph's operand layouts: matmul routes x^T @ g to W.T.
+        self.weight._accumulate((x.swapaxes(-1, -2) @ grad_out).T)
+        if self.bias is not None:
+            self.bias._accumulate(grad_out.sum(axis=0))
+        return grad_out @ self.weight.data if input_grad else None
 
 
 class Conv2d(Module):
@@ -222,6 +309,30 @@ class Conv2d(Module):
             None if self.bias is None else self.bias.data,
             stride=self.stride, padding=self.padding)
 
+    def train_forward(self, x, input_grad=True):
+        F._check_nchw(x.shape)
+        pad = self.padding
+        if pad:
+            x = np.pad(x, [(0, 0), (0, 0), (pad, pad), (pad, pad)])
+        out, cols, w_mat, indices = F._conv2d_padded(
+            x, self.weight.data,
+            None if self.bias is None else self.bias.data, self.stride)
+        return out, (x.shape, cols, w_mat, indices, input_grad)
+
+    def backward(self, ctx, grad_out):
+        x_shape, cols, w_mat, indices, input_grad = ctx
+        n, c_out = grad_out.shape[:2]
+        grad_mat = grad_out.reshape(n, c_out, -1)
+        self.weight._accumulate(
+            F.conv2d_weight_grad(grad_mat, cols, self.weight.shape))
+        if self.bias is not None:
+            self.bias._accumulate(grad_out.sum(axis=(0, 2, 3)))
+        if not input_grad:
+            return None
+        grad = F.conv2d_input_grad(grad_mat, w_mat, indices, x_shape)
+        pad = self.padding
+        return grad[:, :, pad:-pad, pad:-pad] if pad else grad
+
 
 class ReLU(Module):
     """Rectified linear unit activation."""
@@ -235,6 +346,12 @@ class ReLU(Module):
     def _infer_(self, h: np.ndarray) -> np.ndarray:
         return F.relu_(h)
 
+    def train_forward(self, x, input_grad=True):
+        return relu_train(x)
+
+    def backward(self, mask, grad_out):
+        return grad_out * mask
+
 
 class Tanh(Module):
     """Hyperbolic-tangent activation."""
@@ -247,6 +364,13 @@ class Tanh(Module):
 
     def _infer_(self, h: np.ndarray) -> np.ndarray:
         return np.tanh(h, out=h)
+
+    def train_forward(self, x, input_grad=True):
+        out = np.tanh(x)
+        return out, out
+
+    def backward(self, out, grad_out):
+        return grad_out * (1.0 - out ** 2)
 
 
 class Dropout(Module):
@@ -265,6 +389,17 @@ class Dropout(Module):
 
     def infer(self, x: np.ndarray) -> np.ndarray:
         return x
+
+    def train_forward(self, x, input_grad=True):
+        if not self.training or self.p <= 0.0:
+            return x, None
+        # The same draw, in the same forward order, as F.dropout.
+        mask = ((self.rng.random(x.shape) >= self.p).astype(x.dtype)
+                / (1.0 - self.p))
+        return x * mask, mask
+
+    def backward(self, mask, grad_out):
+        return grad_out if mask is None else grad_out * mask
 
 
 class BatchNorm1d(Module):
@@ -320,6 +455,49 @@ class BatchNorm1d(Module):
         h += self.beta.data
         return h
 
+    def train_forward(self, x, input_grad=True):
+        self._check_shape(x.shape)
+        if self.training:
+            norm, cache = F.norm_train(x, 0, self.eps)
+            mean, var = cache[:2]
+            m = self.momentum
+            self.running_mean.data = (
+                (1 - m) * self.running_mean.data + m * mean.ravel())
+            self.running_var.data = (
+                (1 - m) * self.running_var.data + m * var.ravel())
+        else:
+            cache = np.sqrt(self.running_var.data + self.eps)
+            norm = (x - self.running_mean.data) / cache
+        return (norm * self.gamma.data + self.beta.data,
+                (norm, cache, input_grad))
+
+    def backward(self, ctx, grad_out):
+        return self.backward_onto(ctx, grad_out, None)
+
+    def backward_onto(self, ctx, grad_out: np.ndarray,
+                      acc: Optional[np.ndarray]) -> Optional[np.ndarray]:
+        """:meth:`backward`, with the input gradient added onto ``acc``,
+        the gradient the input already received from a path the graph
+        routes first (a residual connection)."""
+        norm, cache, input_grad = ctx
+        _scale_shift_backward(self.gamma, self.beta, norm, grad_out)
+        if not input_grad:
+            return None
+        grad_norm = grad_out * self.gamma.data
+        if isinstance(cache, tuple):
+            return F.norm_backward(grad_norm, cache, acc)
+        grad = grad_norm / cache  # eval mode: cache is the running std
+        return grad if acc is None else acc + grad
+
+
+def _scale_shift_backward(gamma: Tensor, beta: Tensor, norm: np.ndarray,
+                          grad_out: np.ndarray) -> None:
+    """Parameter gradients of ``norm * gamma + beta``: summed over the
+    leading axes, as the graph's ``_unbroadcast`` does."""
+    axes = tuple(range(grad_out.ndim - 1))
+    gamma._accumulate((grad_out * norm).sum(axis=axes))
+    beta._accumulate(grad_out.sum(axis=axes))
+
 
 class LayerNorm(Module):
     """Layer normalisation over the last axis."""
@@ -346,6 +524,18 @@ class LayerNorm(Module):
         centered += self.beta.data
         return centered
 
+    def train_forward(self, x, input_grad=True):
+        norm, cache = F.norm_train(x, -1, self.eps)
+        return (norm * self.gamma.data + self.beta.data,
+                (norm, cache, input_grad))
+
+    def backward(self, ctx, grad_out):
+        norm, cache, input_grad = ctx
+        _scale_shift_backward(self.gamma, self.beta, norm, grad_out)
+        if not input_grad:
+            return None
+        return F.norm_backward(grad_out * self.gamma.data, cache)
+
 
 class Sequential(Module):
     """Run layers in order."""
@@ -369,6 +559,12 @@ class Sequential(Module):
             owned = owned or not np.may_share_memory(h, x)
         return h
 
+    def train_forward(self, x, input_grad=True):
+        return chain_train_forward(self.layers, x, input_grad)
+
+    def backward(self, ctx, grad_out):
+        return chain_backward(self.layers, ctx, grad_out)
+
     def __iter__(self):
         return iter(self.layers)
 
@@ -387,3 +583,9 @@ class Flatten(Module):
 
     def infer(self, x: np.ndarray) -> np.ndarray:
         return x.reshape(x.shape[0], -1)
+
+    def train_forward(self, x, input_grad=True):
+        return self.infer(x), x.shape
+
+    def backward(self, shape, grad_out):
+        return grad_out.reshape(shape)

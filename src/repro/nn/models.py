@@ -27,7 +27,8 @@ from . import functional as F
 from .blocks import (DenseMLPBlock, ResidualConvBlock, ResidualMLPBlock,
                      TransitionMLP)
 from .layers import (BatchNorm1d, Conv2d, Linear, Module, ReLU,
-                     Sequential)
+                     Sequential, chain_backward, chain_train_forward,
+                     graph_backward, graph_train_forward, relu_train)
 from .rng import resolve_rng
 from .tensor import Tensor, _as_array
 
@@ -35,11 +36,14 @@ from .tensor import Tensor, _as_array
 class Classifier(Module):
     """A classifier with an explicit feature extractor and linear head.
 
-    Subclasses implement :meth:`forward_features` (training) and
-    :meth:`infer_features`, the same arithmetic on plain numpy that
-    every ``predict_*`` method runs on; the final logits are always
-    produced by the linear ``head`` so that the penultimate
-    representation is well defined.
+    Subclasses implement :meth:`forward_features` (the Tensor graph)
+    and :meth:`infer_features`, the same arithmetic on plain numpy that
+    every ``predict_*`` method runs on.  Training runs
+    :meth:`train_forward_features`/:meth:`backward_features`; their
+    default runs :meth:`forward_features` on the Tensor graph, and
+    every built-in model overrides them with plain numpy.  The final
+    logits are always produced by the linear ``head`` so that the
+    penultimate representation is well defined.
     """
 
     def __init__(self, feature_dim: int, num_classes: int,
@@ -63,6 +67,25 @@ class Classifier(Module):
 
     def infer(self, x: np.ndarray) -> np.ndarray:
         return self.head.infer(self.infer_features(x))
+
+    def train_forward_features(self, x: np.ndarray, input_grad: bool = True):
+        """:meth:`forward_features` on the training path (see
+        :meth:`Module.train_forward`)."""
+        return graph_train_forward(self.forward_features, x, input_grad)
+
+    def backward_features(self, ctx, grad_out: np.ndarray):
+        """The ``backward`` of :meth:`train_forward_features`."""
+        return graph_backward(ctx, grad_out)
+
+    def train_forward(self, x, input_grad=True):
+        features, features_ctx = self.train_forward_features(x, input_grad)
+        logits, head_ctx = self.head.train_forward(features)
+        return logits, (features_ctx, head_ctx)
+
+    def backward(self, ctx, grad_out):
+        features_ctx, head_ctx = ctx
+        return self.backward_features(
+            features_ctx, self.head.backward(head_ctx, grad_out))
 
     # ------------------------------------------------------------------
     # Inference helpers (numpy in / numpy out, batched, eval mode)
@@ -148,6 +171,14 @@ class MLPClassifier(Classifier):
             x = x.reshape(x.shape[0], -1)
         return self.body.infer(x)
 
+    def train_forward_features(self, x, input_grad=True):
+        out, ctx = self.body.train_forward(_flat(x), input_grad)
+        return out, (x.shape, ctx)
+
+    def backward_features(self, ctx, grad_out):
+        shape, body = ctx
+        return _unflat(self.body.backward(body, grad_out), shape)
+
 
 class ResNetMLP(Classifier):
     """Residual MLP — the reproduction analog of ResNet-110/164."""
@@ -182,6 +213,16 @@ class ResNetMLP(Classifier):
         if self.final_norm is not None:
             h = self.final_norm._infer_(h)
         return F.relu_(h)
+
+    def _chain(self) -> List[Module]:
+        tail = [] if self.final_norm is None else [self.final_norm]
+        return [self.stem, *self.blocks, *tail]
+
+    def train_forward_features(self, x, input_grad=True):
+        return _relu_chain_train(self._chain(), x, input_grad)
+
+    def backward_features(self, ctx, grad_out):
+        return _relu_chain_backward(self._chain(), ctx, grad_out)
 
 
 class DenseNetMLP(Classifier):
@@ -222,6 +263,13 @@ class DenseNetMLP(Classifier):
         for block in self.blocks:
             h = block._infer_(h)
         return F.relu_(h)
+
+    def train_forward_features(self, x, input_grad=True):
+        return _relu_chain_train([self.stem, *self.blocks], x, input_grad)
+
+    def backward_features(self, ctx, grad_out):
+        return _relu_chain_backward([self.stem, *self.blocks], ctx,
+                                    grad_out)
 
 
 class SmallConvNet(Classifier):
@@ -266,6 +314,68 @@ class SmallConvNet(Classifier):
         h = F.max_pool2d_array(h, 2)
         h = self.res2._infer_(h)
         return F.relu_(F.global_avg_pool2d_array(h))
+
+    def train_forward_features(self, x, input_grad=True):
+        shape = x.shape
+        if x.ndim == 2:
+            x = x.reshape(x.shape[0], *self.in_shape)
+        h, conv1 = self.conv1.train_forward(x, input_grad)
+        h, mask1 = relu_train(h)
+        h, pool1 = _max_pool_train(h)
+        h, res1 = self.res1.train_forward(h)
+        h, conv2 = self.conv2.train_forward(h)
+        h, mask2 = relu_train(h)
+        h, pool2 = _max_pool_train(h)
+        h, res2 = self.res2.train_forward(h)
+        pooled, mask3 = relu_train(F.global_avg_pool2d_array(h))
+        return pooled, (shape, conv1, mask1, pool1, res1, conv2, mask2,
+                        pool2, res2, h.shape, mask3)
+
+    def backward_features(self, ctx, grad_out):
+        (shape, conv1, mask1, pool1, res1, conv2, mask2, pool2, res2,
+         res2_shape, mask3) = ctx
+        grad = F.global_avg_pool2d_backward(grad_out * mask3, res2_shape)
+        grad = self.res2.backward(res2, grad)
+        grad = F.max_pool2d_backward(grad, *pool2) * mask2
+        grad = self.conv2.backward(conv2, grad)
+        grad = self.res1.backward(res1, grad)
+        grad = F.max_pool2d_backward(grad, *pool1) * mask1
+        grad = self.conv1.backward(conv1, grad)
+        return None if grad is None else grad.reshape(shape)
+
+
+def _max_pool_train(h: np.ndarray) -> Tuple[np.ndarray, tuple]:
+    """2x2 max pooling plus what :func:`F.max_pool2d_backward` needs."""
+    windows = F._pool_windows(h, 2, None)
+    out = windows.max(axis=(3, 5))
+    return out, (windows, out)
+
+
+def _flat(x: np.ndarray) -> np.ndarray:
+    """Rows of ``x`` as vectors, as the MLP models' forward flattens."""
+    return x.reshape(x.shape[0], -1) if x.ndim > 2 else x
+
+
+def _unflat(grad: Optional[np.ndarray], shape: tuple
+            ) -> Optional[np.ndarray]:
+    """The gradient of :func:`_flat`."""
+    return None if grad is None else grad.reshape(shape)
+
+
+def _relu_chain_train(layers: List[Module], x: np.ndarray,
+                      input_grad: bool) -> Tuple[np.ndarray, tuple]:
+    """The flattened ``x`` through ``layers``, then a ReLU: the
+    training forward of the residual and dense MLP feature bodies."""
+    h, ctxs = chain_train_forward(layers, _flat(x), input_grad)
+    h, mask = relu_train(h)
+    return h, (x.shape, ctxs, mask)
+
+
+def _relu_chain_backward(layers: List[Module], ctx: tuple,
+                         grad_out: np.ndarray) -> Optional[np.ndarray]:
+    """The ``backward`` of :func:`_relu_chain_train`."""
+    shape, ctxs, mask = ctx
+    return _unflat(chain_backward(layers, ctxs, grad_out * mask), shape)
 
 
 # ----------------------------------------------------------------------

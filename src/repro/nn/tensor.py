@@ -1,9 +1,14 @@
 """Reverse-mode automatic differentiation on top of numpy.
 
-This module provides the :class:`Tensor` class, the foundation of the
-``repro.nn`` neural-network framework.  A :class:`Tensor` wraps a numpy
-array and records the operations applied to it so that gradients can be
-computed with a single call to :meth:`Tensor.backward`.
+This module provides the :class:`Tensor` class.  A :class:`Tensor`
+wraps a numpy array and records the operations applied to it so that
+gradients can be computed with a single call to
+:meth:`Tensor.backward`.  Model parameters are tensors, so they carry
+``data`` and ``grad``; the graph itself is the reference that the
+plain-numpy training and inference paths of ``repro.nn`` are tested
+against byte for byte, and the default ``train_forward``/``backward``
+of a module that implements only ``forward``.  The built-in modules
+train and infer without building it.
 
 The design follows the classic tape-based approach: every operation
 returns a new tensor holding a closure that knows how to propagate the
@@ -351,15 +356,6 @@ class Tensor:
     def sqrt(self) -> "Tensor":
         return self ** 0.5
 
-    def abs(self) -> "Tensor":
-        sign = np.sign(self.data)
-        data = np.abs(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._route(grad * sign)
-
-        return Tensor._make(data, (self,), backward)
-
     # ------------------------------------------------------------------
     # Reductions
     # ------------------------------------------------------------------
@@ -472,18 +468,5 @@ def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             sl = [slice(None)] * grad.ndim
             sl[axis] = slice(start, stop)
             t._route(grad[tuple(sl)])
-
-    return Tensor._make(data, tuple(tensors), backward)
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new axis with gradient support."""
-    tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
-    data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(grad: np.ndarray) -> None:
-        pieces = np.split(grad, len(tensors), axis=axis)
-        for t, piece in zip(tensors, pieces):
-            t._route(np.squeeze(piece, axis=axis))
 
     return Tensor._make(data, tuple(tensors), backward)

@@ -11,6 +11,13 @@ Two entry points cover everything the reproduction needs:
 Both report simple per-epoch history and count *sample-epochs* — the
 number of (sample, gradient-step) pairs processed — which serves as the
 machine-independent work model for the Fig. 8/12 timing analyses.
+
+A training step runs on plain numpy and builds no autograd graph:
+``model.train_forward`` returns the logits and the saved activations,
+the ``*_array`` loss returns the loss and its gradient, and
+``model.backward`` fills every parameter's ``grad``.  Weights, running
+statistics and losses are byte-equal to the same step taken on the
+:class:`~repro.nn.tensor.Tensor` graph.
 """
 
 from __future__ import annotations
@@ -22,12 +29,12 @@ import numpy as np
 
 from ..obs import add_work
 from .data import DataLoader, LabeledDataset
-from .losses import cross_entropy, soft_cross_entropy
+from .losses import cross_entropy_array, soft_cross_entropy_array
 from .metrics import evaluate_accuracy
 from .mixup import mixup_batch
 from .models import Classifier
 from .optim import Optimizer, SGD
-from .tensor import Tensor
+from .tensor import _as_array
 
 
 @dataclass
@@ -67,15 +74,17 @@ def fit_epoch(model: Classifier, dataset: LabeledDataset,
         if mixup_alpha:
             mixed_x, mixed_t = mixup_batch(xb, yb, classes, rng,
                                            alpha=mixup_alpha)
-            logits = model(Tensor(mixed_x))
-            loss = soft_cross_entropy(logits, mixed_t)
+            logits, ctx = model.train_forward(_as_array(mixed_x),
+                                              input_grad=False)
+            loss, grad = soft_cross_entropy_array(logits, mixed_t)
         else:
-            logits = model(Tensor(xb))
-            loss = cross_entropy(logits, yb)
+            logits, ctx = model.train_forward(_as_array(xb),
+                                              input_grad=False)
+            loss, grad = cross_entropy_array(logits, yb)
         optimizer.zero_grad()
-        loss.backward()
+        model.backward(ctx, grad)
         optimizer.step()
-        total_loss += loss.item() * len(xb)
+        total_loss += float(loss) * len(xb)
         total_n += len(xb)
     add_work(total_n)
     return total_loss / max(total_n, 1), total_n
@@ -138,8 +147,9 @@ def evaluate_loss(model: Classifier, dataset: LabeledDataset,
     logits = model.predict_logits(dataset.flat_x(), batch_size)
     total = 0.0
     for start in range(0, len(dataset), batch_size):
-        loss = cross_entropy(Tensor(logits[start:start + batch_size]),
-                             labels[start:start + batch_size],
-                             reduction="sum")
-        total += loss.item()
+        # Per-row losses summed: the "sum" reduction without its gradient.
+        losses, _ = cross_entropy_array(logits[start:start + batch_size],
+                                        labels[start:start + batch_size],
+                                        reduction="none")
+        total += float(losses.sum())
     return total / len(dataset)

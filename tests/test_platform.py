@@ -1,5 +1,8 @@
 """Tests for repro.datalake.platform (the deployment facade)."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -107,6 +110,24 @@ class TestScheduledUpdates:
         if len(platform.enld.clean_inventory):
             platform.update_model(epochs=2)
             assert platform.model_updates == 1
+
+    def test_dropped_platform_is_freed_without_cycle_collection(self,
+                                                                world):
+        # Platform and update service hold each other only weakly, so
+        # dropping a platform frees its model and data at once rather
+        # than at the next full collection.
+        platform = NoisyLabelPlatform(world["inventory"],
+                                      config=world["config"],
+                                      scheduler=EveryNArrivals(1))
+        platform.submit(world["arrivals"][0])
+        assert platform.model_updates == 1
+        ref = weakref.ref(platform)
+        gc.disable()
+        try:
+            del platform
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_detection_continues_after_update(self, world):
         platform = NoisyLabelPlatform(world["inventory"],

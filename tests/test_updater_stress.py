@@ -9,7 +9,9 @@ separate hammer drives :class:`FeatureCache` from many threads and
 checks the counter-conservation invariants its lock guarantees.
 """
 
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -29,6 +31,14 @@ from repro.obs import Tracer, use_tracer
 REPEATS = 3
 #: Concurrent foreground reader threads per run.
 READERS = 4
+#: Seconds a busy poll() loop may take to land a 400-epoch thread-mode
+#: update that takes about 0.3 s beside a blocking wait().
+BUSY_POLL_DEADLINE = 10.0
+#: GIL switch interval during that test: 50 times CPython's default,
+#: so a poller that never yields makes the worker wait up to 0.25 s
+#: each time it takes the GIL back (a poll() that does not yield
+#: lands this update in ~28 s).
+BUSY_POLL_SWITCH_INTERVAL = 0.25
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +165,32 @@ class TestThreadedStress:
                        world["arrivals"])
         assert total_work(inline_tracer) > 0
         assert total_work(threaded_tracer) == total_work(inline_tracer)
+
+    def test_busy_poll_loop_lands_the_swap(self, world):
+        # poll() yields the GIL while a thread worker trains.  Without
+        # that, a caller spinning on poll() starved the worker, at
+        # CPython's default switch interval only on some runs (up to
+        # a minute for this update); the long interval set here makes
+        # such starvation show on every run.
+        platform = make_platform(world, scheduler=EveryNArrivals(1000),
+                                 updater=async_updater())
+        for arrival in world["arrivals"][:2]:
+            platform.submit(arrival)
+        service = platform.update_service
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(BUSY_POLL_SWITCH_INTERVAL)
+        try:
+            assert service.request_update(epochs=400)
+            start = time.perf_counter()
+            while True:
+                swapped, failure = service.poll()
+                assert failure is None
+                if swapped:
+                    break
+                assert time.perf_counter() - start < BUSY_POLL_DEADLINE
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(platform.catalog.versions) == 2
 
 
 # ----------------------------------------------------------------------
