@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy import ndimage
 
 from ..nn.data import LabeledDataset
 
@@ -102,6 +101,10 @@ class SyntheticSpec:
 def _smooth_field(rng: np.random.Generator, shape: Tuple[int, int, int],
                   sigma: float) -> np.ndarray:
     """A unit-norm smooth random image of shape (C, H, W)."""
+    # Imported here: spawn ingest workers import this module
+    # transitively, and scipy costs ~0.4 s of each worker boot.
+    from scipy import ndimage
+
     field = rng.normal(size=shape)
     if sigma > 0:
         field = np.stack(

@@ -1,5 +1,9 @@
 """Tests for repro.datalake.ingest (concurrent submission pipeline)."""
 
+import json
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -369,3 +373,49 @@ class TestProcessMode:
         mismatch = [n for n, p in _fingerprints(storm).items()
                     if serial_prints[n] != p]
         assert mismatch == []
+
+    def test_two_spawn_workers_match_serial(self, world):
+        """Both spawn workers boot and detect at once; verdicts still
+        equal serial submission."""
+        streams = [stream.arrivals()[:2]
+                   for stream in world["stream"].split(2)]
+        serial = IngestPipeline(
+            make_platform(world),
+            IngestConfig(mode="serial")).run(streams)
+        storm = IngestPipeline(
+            make_platform(world),
+            IngestConfig(mode="process", workers=2,
+                         queue_capacity=4)).run(streams)
+        assert storm.datasets == serial.datasets == 4
+        # The pool starts its second worker when a task arrives while
+        # the first is busy, so two tasks in flight means two boots.
+        assert storm.max_inflight >= 2
+        serial_prints = _fingerprints(serial)
+        mismatch = [n for n, p in _fingerprints(storm).items()
+                    if serial_prints[n] != p]
+        assert mismatch == []
+
+
+#: What a spawn ingest worker imports: its initializer and task
+#: function live in these modules.
+_SPAWN_WORKER_IMPORTS = """
+import json, sys
+before = set(sys.modules)
+import repro.datalake.ingest, repro.core.detector
+# Only modules the import system loaded (Cython's shared runtime
+# objects and the __mp_main__ alias carry no spec).
+loaded = {name.partition(".")[0] for name, module in sys.modules.items()
+          if name not in before and getattr(module, "__spec__", None)}
+print(json.dumps(sorted(loaded - set(sys.stdlib_module_names))))
+"""
+
+
+def test_spawn_worker_imports_only_numpy_and_repro():
+    """Every spawn worker pays for each third-party package its
+    initializer's modules import at top level (scipy alone is ~0.4 s
+    per boot), so heavy imports belong inside the function that needs
+    them."""
+    proc = subprocess.run([sys.executable, "-c", _SPAWN_WORKER_IMPORTS],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout) == ["numpy", "repro"]
