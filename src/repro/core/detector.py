@@ -28,7 +28,6 @@ import numpy as np
 
 from ..index.classindex import ClassFeatureIndex
 from ..nn.data import LabeledDataset
-from ..nn.featurecache import FeatureCache
 from ..nn.models import Classifier
 from ..nn.optim import SGD
 from ..nn.serialize import clone_module
@@ -106,16 +105,24 @@ class FineGrainedDetector:
                candidates: LabeledDataset, cond_prob: np.ndarray,
                rng: np.random.Generator,
                dataset_view: Optional[ModelView] = None,
-               cache: Optional[FeatureCache] = None
+               candidates_view: Optional[ModelView] = None
                ) -> DetectionResult:
         """Run fine-grained detection of ``dataset`` against ``model``.
 
         ``model`` is never mutated; fine-tuning happens on a clone.
         ``candidates`` is the full ``I_c``; restriction to ``label(D)``
-        (the paper's ``I'``) happens internally.  ``cache`` memoises
-        the initial view of ``I'`` under ``θ`` across arrivals (the
-        per-iteration views under ``θ'`` are never cached — the clone's
-        weights change every step).
+        (the paper's ``I'``) happens internally.  ``candidates_view``
+        is ``M``/``M̂`` of the *full* ``I_c`` under ``model`` — computed
+        here when omitted — and the initial view of ``I'`` is its rows
+        at the ``I'`` positions.  θ and ``I_c`` only change on an
+        Alg. 4 refresh, so :class:`~repro.core.enld.ENLD` runs that
+        forward once per model version and every arrival slices it
+        (§IV-D).  The sliced rows may differ from a direct ``I'``
+        forward in the last few ulps, because BLAS gemm blocking
+        depends on the row count; the verdict is a function of the
+        full-set view either way.  The per-iteration views under ``θ'``
+        are always fresh forwards over ``I'`` — the clone's weights
+        change every step.
         """
         cfg = self.config
         num_classes = model.num_classes
@@ -130,12 +137,16 @@ class FineGrainedDetector:
         theta = clone_module(model)
         train_samples = 0
 
-        # Initial views under θ.  The pool view is the cacheable one:
-        # θ and I_c only change on an Alg. 4 refresh, so arrivals with
-        # a recurring label set re-use the stored forward pass.
+        # Initial views under θ: the pool view is rows of the I_c view.
         with trace_span("initial_views"):
             d_view = dataset_view or compute_view(theta, dataset)
-            pool_view = compute_view(theta, pool, cache=cache)
+            if candidates_view is None:
+                candidates_view = compute_view(theta, candidates)
+            elif len(candidates_view) != len(candidates):
+                raise ValueError(
+                    f"candidates_view has {len(candidates_view)} rows "
+                    f"but I_c has {len(candidates)}")
+            pool_view = candidates_view.rows(cand_positions)
             a_mask = ambiguous_mask(dataset, d_view)
             hq_mask = high_quality_mask(
                 pool, pool_view,

@@ -32,6 +32,7 @@ from ..obs import Stopwatch, Tracer, trace_span, use_tracer
 from .config import ENLDConfig
 from .detector import DetectionResult, FineGrainedDetector
 from .probability import estimate_conditional
+from .samplesets import ModelView, compute_view
 from .update import UpdateResult, model_update
 
 #: Opaque rollback snapshot captured by :meth:`ENLD.snapshot_swap_state`.
@@ -40,8 +41,9 @@ SwapState = Tuple[Optional[Classifier], Optional[np.ndarray],
                   Set[int], int]
 
 #: By-reference detection inputs captured by :meth:`ENLD.detection_snapshot`
-#: — ``(θ, I_c, P̃)``.  Everything :meth:`ENLD.detect_stateless` reads.
-DetectionSnapshot = Tuple[Classifier, LabeledDataset, np.ndarray]
+#: — ``(θ, I_c, P̃, M/M̂ of I_c under θ)``.  Everything
+#: :meth:`ENLD.detect_stateless` reads.
+DetectionSnapshot = Tuple[Classifier, LabeledDataset, np.ndarray, ModelView]
 
 
 class NotInitializedError(RuntimeError):
@@ -68,13 +70,18 @@ class ENLD:
         self._clean_candidate_positions: Set[int] = set()
         self._rng = np.random.default_rng(self.config.seed)
         self._detector = FineGrainedDetector(self.config)
-        # Hot-path state (DESIGN.md §11): memoised forward passes of θ
-        # over I', and an incrementally maintained per-class index over
-        # the accumulated S_c.  Both are derived state — never
+        # Hot-path state (DESIGN.md §11): the view of I_c under θ,
+        # computed once per model version and sliced by every arrival,
+        # and an incrementally maintained per-class index over the
+        # accumulated S_c.  Both are derived state — never
         # checkpointed, rebuilt on demand after a restore or refresh.
+        # The view is filled through the feature cache and kept with
+        # the (θ, I_c) references it was computed for.
         self.feature_cache: Optional[FeatureCache] = (
             FeatureCache(self.config.feature_cache_entries)
             if self.config.feature_cache else None)
+        self._inventory_view: Optional[
+            Tuple[Classifier, LabeledDataset, ModelView]] = None
         self._clean_index: Optional[ClassFeatureIndex] = None
         self._clean_indexed: Set[int] = set()
 
@@ -127,12 +134,11 @@ class ENLD:
         self._require_initialized()
         watch = Stopwatch()
         with watch, use_tracer(self.tracer), trace_span("detect"):
-            result = self._detector.detect(
-                self.model, dataset, self.inventory_candidates,
-                self.cond_prob, self._rng, cache=self.feature_cache)
+            result = self._run_detector(self.detection_snapshot(),
+                                        dataset, self._rng)
         result.process_seconds = watch.seconds
         self._clean_candidate_positions.update(
-            int(p) for p in result.inventory_clean_positions)
+            result.inventory_clean_positions.tolist())
         if self._clean_index is not None:
             self._extend_clean_index()
         self.results.append(result)
@@ -144,18 +150,19 @@ class ENLD:
     def detection_snapshot(self) -> DetectionSnapshot:
         """By-reference capture of the inputs :meth:`detect` reads.
 
-        Detection never mutates ``θ``, ``I_c`` or ``P̃`` in place (a
-        model refresh *replaces* the references), so the snapshot is
-        O(1) and stays valid across a concurrent hot-swap — workers
+        Detection never mutates ``θ``, ``I_c``, ``P̃`` or the ``I_c``
+        view in place (a model refresh *replaces* the references), so
+        the snapshot stays valid across a concurrent hot-swap — workers
         holding it keep detecting under the epoch they were dispatched
         with while the owner decides whether that verdict is still
-        current (see :mod:`repro.datalake.ingest`).
+        current (see :mod:`repro.datalake.ingest`).  It is O(1) except
+        for the first capture under a model version, which runs the one
+        forward pass over ``I_c`` that every arrival then slices.
         """
         self._require_initialized()
-        assert (self.model is not None
-                and self.inventory_candidates is not None
-                and self.cond_prob is not None)
-        return self.model, self.inventory_candidates, self.cond_prob
+        assert self.cond_prob is not None
+        model, candidates, view = self._candidate_view()
+        return model, candidates, self.cond_prob, view
 
     def detect_stateless(self, dataset: LabeledDataset,
                          rng: np.random.Generator,
@@ -167,21 +174,30 @@ class ENLD:
         nothing on ``self`` is read besides the config-derived detector,
         and nothing is written, so concurrent calls from worker threads
         are safe and replay bit-identically for a fixed rng stream
-        regardless of interleaving.  Feed the result back through
+        regardless of interleaving.  The snapshot carries the ``I_c``
+        view under its θ, and every arrival's ``I'`` view is rows of
+        it, so this path and :meth:`detect` slice the same bytes.
+        Without a snapshot, one is captured here, which fills the view
+        on its first use under a version: pass the owner's snapshot
+        from worker threads.  Feed the result back through
         :meth:`commit_detection` (owner thread) to take effect.
         """
         self._require_initialized()
         if snapshot is None:
             snapshot = self.detection_snapshot()
-        model, candidates, cond_prob = snapshot
         watch = Stopwatch()
         with watch, use_tracer(self.tracer), trace_span("detect"):
-            result = self._detector.detect(
-                model, dataset, candidates, cond_prob, rng,
-                cache=self.feature_cache
-                if model is self.model else None)
+            result = self._run_detector(snapshot, dataset, rng)
         result.process_seconds = watch.seconds
         return result
+
+    def _run_detector(self, snapshot: DetectionSnapshot,
+                      dataset: LabeledDataset,
+                      rng: np.random.Generator) -> DetectionResult:
+        model, candidates, cond_prob, candidates_view = snapshot
+        return self._detector.detect(model, dataset, candidates,
+                                     cond_prob, rng,
+                                     candidates_view=candidates_view)
 
     def commit_detection(self, result: DetectionResult) -> DetectionResult:
         """Fold a :meth:`detect_stateless` verdict into platform state.
@@ -193,7 +209,7 @@ class ENLD:
         """
         self._require_initialized()
         self._clean_candidate_positions.update(
-            int(p) for p in result.inventory_clean_positions)
+            result.inventory_clean_positions.tolist())
         if self._clean_index is not None:
             self._extend_clean_index()
         self.results.append(result)
@@ -291,7 +307,7 @@ class ENLD:
                 feats[positions], self.inventory_candidates.y[positions],
                 backend=self.config.effective_index_backend,
                 source_indices=positions)
-            self._clean_indexed = set(int(p) for p in positions)
+            self._clean_indexed = set(positions.tolist())
         return self._clean_index
 
     def nearest_clean(self, feature: np.ndarray, label: int, k: int = 1
@@ -326,17 +342,34 @@ class ENLD:
         self._clean_indexed.update(new)
 
     def _candidate_features(self) -> np.ndarray:
-        """``M̂(I_c, θ)``, via the feature cache when enabled."""
+        """``M̂(I_c, θ)``: the features of the per-version ``I_c`` view."""
+        return self._candidate_view()[2].features
+
+    def _candidate_view(self) -> Tuple[Classifier, LabeledDataset,
+                                       ModelView]:
+        """``(θ, I_c, M/M̂ of I_c under θ)``, one forward per version.
+
+        Filled lazily on first need through the feature cache (one
+        lookup per version) and held with the references it was
+        computed for, so a view can never be paired with another θ or
+        ``I_c``.  Not filled in :meth:`initialize`: setup stays the
+        cost of training and ``P̃``.
+        """
         assert self.model is not None and self.inventory_candidates is not None
-        x = self.inventory_candidates.flat_x()
-        if self.feature_cache is not None:
-            return self.feature_cache.view(self.model, x)[1]
-        return self.model.predict_view(x)[1]
+        model, candidates = self.model, self.inventory_candidates
+        held = self._inventory_view
+        if held is None or held[0] is not model or held[1] is not candidates:
+            held = (model, candidates,
+                    compute_view(model, candidates,
+                                 cache=self.feature_cache))
+            self._inventory_view = held
+        return held
 
     def _reset_derived_state(self) -> None:
         """Drop caches/indexes keyed on the previous ``θ`` or ``I_c``."""
         if self.feature_cache is not None:
             self.feature_cache.invalidate()
+        self._inventory_view = None
         self._clean_index = None
         self._clean_indexed = set()
 

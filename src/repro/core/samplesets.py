@@ -48,6 +48,11 @@ class ModelView:
     def __len__(self) -> int:
         return len(self.probs)
 
+    def rows(self, positions: np.ndarray) -> "ModelView":
+        """The view restricted to ``positions`` (copies, in that order)."""
+        return ModelView(probs=self.probs[positions],
+                         features=self.features[positions])
+
 
 def compute_view(model: Classifier, dataset: LabeledDataset,
                  batch_size: int = 256,

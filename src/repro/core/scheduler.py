@@ -105,8 +105,7 @@ class CleanPoolGrowth(UpdateScheduler):
         self._positions: set = set()
 
     def observe(self, result: DetectionResult) -> None:
-        self._positions.update(
-            int(p) for p in result.inventory_clean_positions)
+        self._positions.update(result.inventory_clean_positions.tolist())
 
     def should_update(self) -> bool:
         return len(self._positions) >= self.min_clean_samples

@@ -252,7 +252,8 @@ class DataLakeCatalog:
     # -- inventory clean-sample accumulation ---------------------------------
     def add_clean_inventory_ids(self, ids: np.ndarray) -> None:
         """Union new clean inventory ids ``S_c'`` into the running set."""
-        self._clean_inventory_ids.update(int(i) for i in np.asarray(ids))
+        self._clean_inventory_ids.update(
+            np.asarray(ids, dtype=np.int64).tolist())
 
     @property
     def clean_inventory_ids(self) -> np.ndarray:

@@ -31,10 +31,11 @@ Design (mirrors the REP701–705 discipline the updater established):
   baseline the concurrency tests and the ``lake_churn`` benchmark
   workload compare against, bit for bit.
 - **Epoch guard.**  Each dispatched task pins the model epoch (the
-  catalog version count) and an O(1) by-reference snapshot of
-  ``(θ, I_c, P̃)``.  Commits happen strictly in admission order; if a
-  model swap landed after a task was dispatched, the owner re-detects
-  that arrival inline under the current model before committing, so
+  catalog version count) and a by-reference snapshot of
+  ``(θ, I_c, P̃)`` plus the per-version view of ``I_c`` under ``θ``.
+  Commits happen strictly in admission order; if a model swap landed
+  after a task was dispatched, the owner re-detects that arrival
+  inline under the current model before committing, so
   verdict-to-version attribution matches the sequential semantics.
 
 Worker functions are module-level, capture the ambient tracer at spawn
@@ -56,6 +57,7 @@ import numpy as np
 
 from ..core.detector import DetectionResult
 from ..core.enld import ENLD, DetectionSnapshot
+from ..core.samplesets import ModelView, compute_view
 from ..nn.data import LabeledDataset
 from ..nn.models import Classifier
 from ..nn.rng import STREAM_TAGS
@@ -100,7 +102,9 @@ class _Task:
 
     seq: int
     dataset: LabeledDataset
-    snapshot: DetectionSnapshot
+    #: ``None`` for process-mode tasks: spawn workers detect under the
+    #: inputs their initializer received.
+    snapshot: Optional[DetectionSnapshot]
     epoch: int
 
 
@@ -208,9 +212,12 @@ def _worker_loop(tasks: "queue.Queue[Optional[_Task]]",
                  tracer: Union[Tracer, NullTracer]) -> None:
     """Detection worker: pure compute, no platform state.
 
-    Only ever touches the task payload, the (internally locked) feature
-    cache, and the re-installed ambient tracer; results travel back to
-    the owner as immutable :class:`_Done` envelopes.
+    Only ever touches the task payload and the re-installed ambient
+    tracer; results travel back to the owner as immutable
+    :class:`_Done` envelopes.  The task's snapshot already holds the
+    ``I_c`` view under its θ — the owner filled it once per model
+    version — so each arrival's ``I'`` view is a slice of it and no
+    worker runs θ over the candidate pool.
     """
     with use_tracer(tracer):
         while True:
@@ -218,6 +225,7 @@ def _worker_loop(tasks: "queue.Queue[Optional[_Task]]",
             if task is None:
                 break
             try:
+                assert task.snapshot is not None
                 result, retries, failures, degraded = \
                     detect_resilient_stateless(
                         enld, task.snapshot, task.dataset, seed, retry,
@@ -237,7 +245,12 @@ def _worker_loop(tasks: "queue.Queue[Optional[_Task]]",
 # installed once per worker by the initializer (REP704: module-level
 # targets only, nothing bound or nested crosses the pickle boundary).
 # Only the plain-array detection inputs ship — never the live ENLD,
-# whose caches hold locks that cannot cross a pickle boundary.
+# whose caches hold locks that cannot cross a pickle boundary.  The
+# view of I_c under θ ("candidates_view") is not shipped either: each
+# worker computes it on its first task of the run, from the (θ, I_c) it
+# was given, and every later arrival slices it.  Shipping the owner's
+# view would grow the pickled initargs and the owner's footprint
+# before the spawn, which a spawn worker's peak RSS starts from.
 _PROCESS_STATE: Dict[str, object] = {}
 
 
@@ -248,6 +261,7 @@ def _process_init(config: object, model: object,
     from ..core.config import ENLDConfig
     from ..core.detector import FineGrainedDetector
     assert isinstance(config, ENLDConfig)
+    _PROCESS_STATE.clear()
     _PROCESS_STATE["detector"] = FineGrainedDetector(config)
     _PROCESS_STATE["model"] = model
     _PROCESS_STATE["candidates"] = candidates
@@ -276,8 +290,13 @@ def _process_detect(dataset: LabeledDataset
             ) -> DetectionResult:
         watch = Stopwatch()
         with watch:
+            view = _PROCESS_STATE.get("candidates_view")
+            if view is None:
+                view = compute_view(model, candidates)
+                _PROCESS_STATE["candidates_view"] = view
+            assert isinstance(view, ModelView)
             result = detector.detect(model, d, candidates, cond_prob,
-                                     rng)
+                                     rng, candidates_view=view)
         result.process_seconds = watch.seconds
         return result
 
@@ -515,8 +534,11 @@ class IngestPipeline:
         if cfg.mode == "process":
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
-            model, candidates, cond_prob = \
-                platform.enld.detection_snapshot()
+            # The bare inputs, not detection_snapshot(): the workers
+            # compute the I_c view themselves (see _PROCESS_STATE).
+            enld = platform.enld
+            model, candidates, cond_prob = (
+                enld.model, enld.inventory_candidates, enld.cond_prob)
             # Spawned workers detect under this snapshot for the whole
             # storm, so every process task carries the epoch frozen
             # into the pool here — not the dispatch-time epoch — and a
@@ -579,7 +601,8 @@ class IngestPipeline:
                             continue
                         task = _Task(
                             seq=next_seq, dataset=payload,
-                            snapshot=platform.enld.detection_snapshot(),
+                            snapshot=(platform.enld.detection_snapshot()
+                                      if executor is None else None),
                             epoch=(len(platform.catalog.versions)
                                    if pool_epoch is None
                                    else pool_epoch))

@@ -34,7 +34,8 @@ _pin_blas_to_one_thread()
 
 from repro.datasets import generate, toy
 from repro.nn.data import LabeledDataset
-from repro.nn.models import MLPClassifier
+from repro.nn.featurecache import weights_digest
+from repro.nn.models import Classifier, MLPClassifier
 from repro.nn.train import fit
 
 
@@ -66,3 +67,44 @@ def trained_blob_model(blobs):
     model = MLPClassifier(5, 3, hidden=32, rng=gen)
     fit(model, blobs, epochs=12, rng=gen, lr=0.05)
     return model
+
+
+class ForwardLog:
+    """Every ``Classifier.predict_view`` call under θ, as a row count.
+
+    Alg. 3's per-iteration views under the fine-tuned ``θ'`` are left
+    out: they are fresh forwards over ``I'`` by design, and ``θ'`` still
+    equals θ when no step trained.  They are the calls made while
+    ``recompute_views`` is the most recently opened span.
+    """
+
+    def __init__(self) -> None:
+        self.calls = []
+        self.last_span = None
+
+    def clear(self) -> None:
+        self.calls.clear()
+
+    def rows(self, model):
+        """Sorted row counts of the logged forwards under ``model``."""
+        digest = weights_digest(model)
+        return sorted(rows for d, rows in self.calls if d == digest)
+
+
+@pytest.fixture
+def forward_log(monkeypatch):
+    from repro.obs import use_span_hook
+    log = ForwardLog()
+    original = Classifier.predict_view
+
+    def spy(self, x, batch_size=256):
+        if log.last_span != "recompute_views":
+            log.calls.append((weights_digest(self), len(x)))
+        return original(self, x, batch_size)
+
+    def hook(name):
+        log.last_span = name
+
+    monkeypatch.setattr(Classifier, "predict_view", spy)
+    with use_span_hook(hook):
+        yield log

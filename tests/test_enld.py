@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import ENLDConfig
+from repro.core.detector import FineGrainedDetector
 from repro.core.enld import ENLD, NotInitializedError
 from repro.core.update import model_update
 from repro.datalake import ArrivalStream
@@ -159,3 +160,77 @@ class TestModelUpdate:
         assert out.inventory_candidates is enld.inventory_train
         # Original model untouched (update happens on a clone).
         assert out.model is not enld.model
+
+
+def label_set_arrivals(world):
+    """Four arrivals over different label sets (and different sizes)."""
+    pool = world["pool"]
+    arrivals = []
+    for i, labels in enumerate([(0, 1), (2, 3, 4), (1, 5), (0, 2, 3, 5)]):
+        part = pool.mask(np.isin(pool.y, labels))
+        arrivals.append(part.subset(np.arange(min(len(part), 20 + 7 * i)),
+                                    name=f"labels-{i}"))
+    return arrivals
+
+
+class TestInventoryView:
+    """θ runs over I_c once per model version; every arrival's I' view
+    is rows of that view (§IV-D)."""
+
+    def test_one_candidate_forward_per_version(self, world, forward_log):
+        enld = ENLD(make_config()).initialize(world["inventory"])
+        arrivals = label_set_arrivals(world)
+        sizes = [len(a) for a in arrivals]
+
+        def detect_all():
+            forward_log.clear()
+            for arrival in arrivals:
+                enld.detect(arrival)
+            return forward_log.rows(enld.model)
+
+        # Under θ: one I_c forward plus each arrival's own D view —
+        # no forward over any I' subset.
+        assert detect_all() == sorted(
+            [len(enld.inventory_candidates)] + sizes)
+        assert detect_all() == sorted(sizes)
+
+        enld.update_model(epochs=2)
+        assert detect_all() == sorted(
+            [len(enld.inventory_candidates)] + sizes)
+
+        state = enld.snapshot_swap_state()
+        enld.update_model(epochs=2)
+        enld.restore_swap_state(state)
+        assert detect_all() == sorted(
+            [len(enld.inventory_candidates)] + sizes)
+        assert detect_all() == sorted(sizes)
+
+    def test_arrival_view_is_rows_of_the_candidate_view(self, world,
+                                                       monkeypatch):
+        pool_views = []
+        original = FineGrainedDetector._select
+
+        def spy(self, dataset, d_view, a_mask, pool, pool_view, *rest):
+            pool_views.append(pool_view)
+            return original(self, dataset, d_view, a_mask, pool,
+                            pool_view, *rest)
+
+        monkeypatch.setattr(FineGrainedDetector, "_select", spy)
+        enld = ENLD(make_config()).initialize(world["inventory"])
+        for arrival in label_set_arrivals(world):
+            _, candidates, _, view = enld.detection_snapshot()
+            assert len(view) == len(candidates)
+            positions = np.nonzero(np.isin(candidates.y,
+                                           np.unique(arrival.y)))[0]
+            for run in (lambda: enld.detect(arrival),
+                        lambda: enld.detect_stateless(
+                            arrival, np.random.default_rng(0))):
+                pool_views.clear()
+                run()
+                # The first selection sees the initial I' view under θ.
+                initial = pool_views[0]
+                assert (initial.probs.tobytes()
+                        == view.probs[positions].tobytes())
+                assert (initial.features.tobytes()
+                        == view.features[positions].tobytes())
+            assert enld.detection_snapshot()[3] is view

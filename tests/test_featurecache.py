@@ -32,9 +32,10 @@ class TestDigests:
             flat.astype(np.float32))
 
     def test_subset_has_its_own_digest(self):
-        # The cache must never treat a subset as rows of the full set:
-        # a subset forward is not bit-identical to sliced full-set
-        # output (BLAS gemm blocking varies with the row count).
+        # Keys are exact content, so a subset is its own entry.  The
+        # cache itself never slices: slicing the full I_c view is
+        # ENLD's choice (one forward per model version), made above
+        # the cache.
         x = _x()
         assert array_digest(x[:5]) != array_digest(x)
 

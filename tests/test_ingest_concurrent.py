@@ -396,6 +396,38 @@ class TestProcessMode:
         assert mismatch == []
 
 
+class TestSpawnWorkerView:
+    def test_one_candidate_view_per_spawn_worker(self, world,
+                                                  forward_log):
+        """A spawn worker runs θ over I_c once per run, on its first
+        task, and slices every arrival's I' view from it; its verdicts
+        equal the owner's."""
+        from repro.datalake.ingest import (_PROCESS_STATE, _process_detect,
+                                           _process_init)
+        platform = make_platform(world)
+        enld = platform.enld
+        seed = world["config"].seed
+        arrivals = world["stream"].arrivals()[:3]
+        assert len({tuple(np.unique(a.y)) for a in arrivals}) == 3
+        forward_log.clear()
+        _process_init(enld.config, enld.model, enld.inventory_candidates,
+                      enld.cond_prob, seed, NO_WAIT_RETRY, True)
+        try:
+            outcomes = [_process_detect(a) for a in arrivals]
+        finally:
+            _PROCESS_STATE.clear()
+        assert forward_log.rows(enld.model) == sorted(
+            [len(enld.inventory_candidates)] + [len(a) for a in arrivals])
+        for arrival, (result, retries, _, degraded) in zip(arrivals,
+                                                           outcomes):
+            assert retries == 0 and not degraded
+            owner = enld.detect_stateless(arrival,
+                                          arrival_rng(seed, arrival.name))
+            assert result.clean_mask.tobytes() == owner.clean_mask.tobytes()
+            assert np.array_equal(result.inventory_clean_positions,
+                                  owner.inventory_clean_positions)
+
+
 #: What a spawn ingest worker imports: its initializer and task
 #: function live in these modules.
 _SPAWN_WORKER_IMPORTS = """
