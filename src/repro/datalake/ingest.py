@@ -32,8 +32,9 @@ Design (mirrors the REP701–705 discipline the updater established):
   workload compare against, bit for bit.
 - **Epoch guard.**  Each dispatched task pins the model epoch (the
   catalog version count) and a by-reference snapshot of
-  ``(θ, I_c, P̃)`` plus the per-version view of ``I_c`` under ``θ``.
-  Commits happen strictly in admission order; if a model swap landed
+  ``(θ, I_c, P̃)`` plus the per-version view of ``I_c`` under ``θ``;
+  a process-mode task pins instead the epoch whose state file was
+  shipped at the start of the run.  Commits happen strictly in admission order; if a model swap landed
   after a task was dispatched, the owner re-detects that arrival
   inline under the current model before committing, so
   verdict-to-version attribution matches the sequential semantics.
@@ -48,8 +49,13 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import os
+import pickle
 import queue
+import shutil
+import tempfile
 import threading
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -63,6 +69,7 @@ from ..nn.models import Classifier
 from ..nn.rng import STREAM_TAGS
 from ..obs import (NullTracer, Stopwatch, Tracer, current_tracer, incr,
                    observe, trace_span, use_tracer)
+from .persistence import atomic_write_bytes
 from .platform import NoisyLabelPlatform, SubmissionReport
 from .resilience import (FailureEvent, RetryPolicy, coarse_fallback_detect,
                          describe_failure)
@@ -103,7 +110,7 @@ class _Task:
     seq: int
     dataset: LabeledDataset
     #: ``None`` for process-mode tasks: spawn workers detect under the
-    #: inputs their initializer received.
+    #: state file shipped for ``epoch``.
     snapshot: Optional[DetectionSnapshot]
     epoch: int
 
@@ -241,40 +248,65 @@ def _worker_loop(tasks: "queue.Queue[Optional[_Task]]",
 
 
 # -- process mode ------------------------------------------------------
-# Spawned workers re-derive everything from this module-level state,
-# installed once per worker by the initializer (REP704: module-level
-# targets only, nothing bound or nested crosses the pickle boundary).
-# Only the plain-array detection inputs ship — never the live ENLD,
-# whose caches hold locks that cannot cross a pickle boundary.  The
-# view of I_c under θ ("candidates_view") is not shipped either: each
-# worker computes it on its first task of the run, from the (θ, I_c) it
-# was given, and every later arrival slices it.  Shipping the owner's
-# view would grow the pickled initargs and the owner's footprint
-# before the spawn, which a spawn worker's peak RSS starts from.
+# A spawn worker keeps its detection inputs in this module-level state
+# (REP704: module-level targets only, nothing bound or nested crosses
+# the pickle boundary).  The initializer installs only what is fixed
+# for the pool's lifetime: the detector built from the config, the
+# seed and the retry budget.  Its initargs therefore stay a few hundred
+# bytes, and they must: spawn writes them down a pipe to the child,
+# and a payload larger than the pipe buffer blocks that write forever
+# if the child dies before reading it.  θ, I_c and P̃ come from the
+# per-version state file the owner writes once (_SpawnPool.ship).  A
+# task names its (epoch, path), and a worker loads the file only when
+# the epoch changes, first dropping the previous version's model,
+# candidates, P̃ and view so its peak RSS stays flat.  The view of I_c
+# under θ ("candidates_view") is never shipped: a worker computes it on
+# its first task under a version and every later arrival slices it.
 _PROCESS_STATE: Dict[str, object] = {}
 
+#: The per-version entries of ``_PROCESS_STATE``.
+_VERSION_KEYS = ("epoch", "model", "candidates", "cond_prob",
+                 "candidates_view")
 
-def _process_init(config: object, model: object,
-                  candidates: LabeledDataset, cond_prob: np.ndarray,
-                  seed: int, retry: RetryPolicy,
+
+def _write_state(path: str, enld: ENLD) -> None:
+    """Write the detection inputs a spawn worker loads: ``(θ, I_c, P̃)``."""
+    atomic_write_bytes(path, pickle.dumps(
+        (enld.model, enld.inventory_candidates, enld.cond_prob),
+        protocol=pickle.HIGHEST_PROTOCOL))
+
+
+def _process_init(config: object, seed: int, retry: RetryPolicy,
                   fallback: bool) -> None:
     from ..core.config import ENLDConfig
     from ..core.detector import FineGrainedDetector
     assert isinstance(config, ENLDConfig)
     _PROCESS_STATE.clear()
     _PROCESS_STATE["detector"] = FineGrainedDetector(config)
-    _PROCESS_STATE["model"] = model
-    _PROCESS_STATE["candidates"] = candidates
-    _PROCESS_STATE["cond_prob"] = cond_prob
     _PROCESS_STATE["seed"] = seed
     _PROCESS_STATE["retry"] = retry
     _PROCESS_STATE["fallback"] = fallback
 
 
-def _process_detect(dataset: LabeledDataset
+def _process_load(epoch: int, path: str) -> None:
+    """Install the state file of model version ``epoch`` unless loaded."""
+    if _PROCESS_STATE.get("epoch") == epoch:
+        return
+    for key in _VERSION_KEYS:
+        _PROCESS_STATE.pop(key, None)
+    with open(path, "rb") as fh:
+        model, candidates, cond_prob = pickle.load(fh)
+    _PROCESS_STATE["model"] = model
+    _PROCESS_STATE["candidates"] = candidates
+    _PROCESS_STATE["cond_prob"] = cond_prob
+    _PROCESS_STATE["epoch"] = epoch
+
+
+def _process_detect(dataset: LabeledDataset, epoch: int, path: str
                     ) -> Tuple[DetectionResult, int,
                                List[FailureEvent], bool]:
     from ..core.detector import FineGrainedDetector
+    _process_load(epoch, path)
     detector = _PROCESS_STATE["detector"]
     assert isinstance(detector, FineGrainedDetector)
     model = _PROCESS_STATE["model"]
@@ -303,6 +335,42 @@ def _process_detect(dataset: LabeledDataset
     return retry_detect(run, model, dataset,
                         int(_PROCESS_STATE["seed"]),  # type: ignore[call-overload]
                         retry, bool(_PROCESS_STATE["fallback"]))
+
+
+class _SpawnPool:
+    """One pipeline's spawn workers, plus the private directory holding
+    the state file of the model version they detect under."""
+
+    def __init__(self, workers: int, initargs: Tuple[object, ...]) -> None:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        self.executor = ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("spawn"),
+            initializer=_process_init, initargs=initargs)
+        self.directory = tempfile.mkdtemp(prefix="repro-ingest-")
+        #: The model epoch shipped last and its state file.
+        self.epoch: Optional[int] = None
+        self.path = ""
+
+    def ship(self, epoch: int, enld: ENLD) -> None:
+        """Write model version ``epoch``'s state file, once per version,
+        and delete the previous version's."""
+        if epoch == self.epoch:
+            return
+        path = os.path.join(self.directory, f"theta-v{epoch}.pkl")
+        _write_state(path, enld)
+        if self.path:
+            os.unlink(self.path)
+        self.epoch, self.path = epoch, path
+
+    def shutdown(self) -> None:
+        """Cancel queued tasks, join and reap every worker, and remove
+        the state directory."""
+        try:
+            self.executor.shutdown(wait=True, cancel_futures=True)
+        finally:
+            shutil.rmtree(self.directory, ignore_errors=True)
 
 
 @dataclass(frozen=True)
@@ -366,6 +434,16 @@ class IngestPipeline:
         Optional lake-fetch callable applied to every arrival on the
         producer threads — model I/O latency here or plug in a real
         lake client.
+
+    In ``mode="process"`` the pipeline owns one spawn pool for its
+    whole lifetime.  The pool starts on the first :meth:`run`, and
+    workers load θ, ``I_c`` and P̃ from a state file written once per
+    model version.  :meth:`close` (or leaving a ``with IngestPipeline(
+    ...)`` block) joins and reaps the workers and removes that file's
+    directory; a pipeline that is never closed is cleaned up when its
+    last reference goes.  A run that raises — a worker that died
+    surfaces as ``BrokenProcessPool`` — closes the pool first, so the
+    next run boots a fresh one.
     """
 
     def __init__(self, platform: NoisyLabelPlatform,
@@ -374,6 +452,45 @@ class IngestPipeline:
         self.platform = platform
         self.config = config or IngestConfig()
         self.fetch = fetch
+        self._pool: Optional[_SpawnPool] = None
+        self._reaper: Optional[weakref.finalize] = None
+
+    def __enter__(self) -> "IngestPipeline":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Shut the process pool down (if one runs); idempotent."""
+        if self._reaper is not None:
+            self._reaper()
+        self._pool = self._reaper = None
+
+    def _spawn_pool(self) -> _SpawnPool:
+        """The pipeline's process pool, started on first use."""
+        if self._pool is None:
+            platform = self.platform
+            # Injectable sleep callables (often lambdas, e.g.
+            # NO_WAIT_RETRY's) cannot cross the pickle boundary; spawn
+            # workers get the same budget with the real time.sleep.
+            retry_spec = RetryPolicy(
+                max_retries=platform.retry.max_retries,
+                backoff_base=platform.retry.backoff_base,
+                max_backoff=platform.retry.max_backoff,
+                jitter=platform.retry.jitter)
+            # A spawn worker starts as a fork of this process, so its
+            # peak RSS starts from ours: first free what only reference
+            # cycles still hold (platforms dropped earlier, for one).
+            gc.collect()
+            self._pool = _SpawnPool(
+                self.config.workers,
+                (platform.enld.config, platform.enld.config.seed,
+                 retry_spec, platform.fallback))
+            # The finalizer holds the pool, never the pipeline, so an
+            # unclosed pipeline still reaps its workers when dropped.
+            self._reaper = weakref.finalize(self, self._pool.shutdown)
+        return self._pool
 
     # ------------------------------------------------------------------
     def run(self, streams: Sequence[ArrivalStream]) -> StormReport:
@@ -529,40 +646,16 @@ class IngestPipeline:
                       platform.fallback, tracer),
                 name=f"ingest-worker-{i}", daemon=True)
             for i in range(pool_size)]
-        executor = None
+        pool: Optional[_SpawnPool] = None
         pool_epoch: Optional[int] = None
         if cfg.mode == "process":
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-            # The bare inputs, not detection_snapshot(): the workers
-            # compute the I_c view themselves (see _PROCESS_STATE).
-            enld = platform.enld
-            model, candidates, cond_prob = (
-                enld.model, enld.inventory_candidates, enld.cond_prob)
-            # Spawned workers detect under this snapshot for the whole
-            # storm, so every process task carries the epoch frozen
-            # into the pool here — not the dispatch-time epoch — and a
-            # later hot-swap forces the owner's re-detection.
+            # Spawned workers detect under the version shipped here for
+            # the whole storm, so every process task carries this epoch
+            # — not the dispatch-time one — and a later hot-swap forces
+            # the owner's re-detection.
+            pool = self._spawn_pool()
             pool_epoch = len(platform.catalog.versions)
-            # Injectable sleep callables (often lambdas, e.g.
-            # NO_WAIT_RETRY's) cannot cross the pickle boundary; spawn
-            # workers get the same budget with the real time.sleep.
-            retry_spec = RetryPolicy(
-                max_retries=platform.retry.max_retries,
-                backoff_base=platform.retry.backoff_base,
-                max_backoff=platform.retry.max_backoff,
-                jitter=platform.retry.jitter)
-            # A spawn worker starts as a fork of this process, so its
-            # peak RSS starts from ours: first free what only reference
-            # cycles still hold (platforms dropped earlier, for one).
-            gc.collect()
-            executor = ProcessPoolExecutor(
-                max_workers=cfg.workers,
-                mp_context=multiprocessing.get_context("spawn"),
-                initializer=_process_init,
-                initargs=(platform.enld.config, model, candidates,
-                          cond_prob, seed, retry_spec,
-                          platform.fallback))
+            pool.ship(pool_epoch, platform.enld)
 
         reports: Dict[str, SubmissionReport] = {}
         ready: Dict[int, _Done] = {}
@@ -602,7 +695,7 @@ class IngestPipeline:
                         task = _Task(
                             seq=next_seq, dataset=payload,
                             snapshot=(platform.enld.detection_snapshot()
-                                      if executor is None else None),
+                                      if pool is None else None),
                             epoch=(len(platform.catalog.versions)
                                    if pool_epoch is None
                                    else pool_epoch))
@@ -610,9 +703,8 @@ class IngestPipeline:
                         inflight += 1
                         max_inflight = max(max_inflight, inflight)
                         observe("ingest.inflight_workers", inflight)
-                        if executor is not None:
-                            self._dispatch_process(executor, task,
-                                                   events)
+                        if pool is not None:
+                            self._dispatch_process(pool, task, events)
                         else:
                             tasks.put(task)
                         continue
@@ -626,28 +718,32 @@ class IngestPipeline:
                         depth -= 1
                         observe("ingest.queue_depth", depth)
                         slots.release()
+            except BaseException:
+                # Queued tasks of a failed storm must not outlive it, and
+                # a broken pool cannot serve the next one.
+                self.close()
+                raise
             finally:
                 stop.set()
                 for _ in workers:
                     tasks.put(None)
                 for thread in (*producers, *workers):
                     thread.join()
-                if executor is not None:
-                    executor.shutdown()
         return self._finish(reports, samples, watch.seconds,
                             max_depth=max_depth,
                             max_inflight=max_inflight)
 
     @staticmethod
-    def _dispatch_process(executor: object, task: _Task,
+    def _dispatch_process(pool: _SpawnPool, task: _Task,
                           events: "queue.Queue[_Event]") -> None:
         """Ship one task to the process pool; completions re-enter the
-        owner's event queue from the executor's collector thread."""
-        from concurrent.futures import Future, ProcessPoolExecutor
-        assert isinstance(executor, ProcessPoolExecutor)
-        future = executor.submit(_process_detect, task.dataset)
+        owner's event queue from the executor's collector thread, and
+        so does a refused submission (a pool already broken)."""
+        from concurrent.futures import Future
 
         def _deliver(fut: "Future[Tuple[DetectionResult, int, List[FailureEvent], bool]]") -> None:
+            if fut.cancelled():
+                return
             error = fut.exception()
             if error is not None:
                 events.put(("done", _Done(
@@ -660,6 +756,13 @@ class IngestPipeline:
                 result=result, retries=retries, failures=failures,
                 degraded=degraded)))
 
+        try:
+            future = pool.executor.submit(_process_detect, task.dataset,
+                                          task.epoch, pool.path)
+        except RuntimeError as exc:  # BrokenProcessPool; owner raises
+            events.put(("done", _Done(seq=task.seq, dataset=task.dataset,
+                                      epoch=task.epoch, error=repr(exc))))
+            return
         future.add_done_callback(_deliver)
 
     # ------------------------------------------------------------------

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from typing import Dict, List
+from typing import IO, Callable, Dict, List
 
 import numpy as np
 
@@ -46,14 +46,16 @@ MODEL_WEIGHTS_FILE = "model.npz"
 # ----------------------------------------------------------------------
 # Atomic file primitives
 # ----------------------------------------------------------------------
-def atomic_write_json(path: str, payload: Dict) -> None:
-    """Write JSON via temp-file + :func:`os.replace` (atomic on POSIX)."""
+def _atomic_write(path: str, suffix: str, mode: str,
+                  write: Callable[[IO], None]) -> None:
+    """Run ``write`` on a temp file beside ``path``, fsync, then
+    :func:`os.replace` it over ``path`` (atomic on POSIX)."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=suffix)
     try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, indent=2)
+        with os.fdopen(fd, mode) as fh:
+            write(fh)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -61,23 +63,22 @@ def atomic_write_json(path: str, payload: Dict) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_json(path: str, payload: Dict) -> None:
+    """Write JSON via temp-file + :func:`os.replace` (atomic on POSIX)."""
+    _atomic_write(path, ".tmp", "w",
+                  lambda fh: json.dump(payload, fh, indent=2))
 
 
 def atomic_write_npz(path: str, arrays: Dict[str, np.ndarray]) -> None:
     """Write an ``.npz`` archive atomically (temp file + rename)."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp.npz")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, **arrays)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _atomic_write(path, ".tmp.npz", "wb", lambda fh: np.savez(fh, **arrays))
+
+
+def atomic_write_bytes(path: str, payload: bytes) -> None:
+    """Write raw bytes atomically (temp file + rename)."""
+    _atomic_write(path, ".tmp", "wb", lambda fh: fh.write(payload))
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,10 @@
 """Tests for repro.datalake.ingest (concurrent submission pipeline)."""
 
 import json
+import multiprocessing
+import os
+import pickle
+import signal
 import subprocess
 import sys
 
@@ -306,12 +310,16 @@ class _InlinePool:
     """ProcessPoolExecutor stand-in running tasks inline.
 
     Preserves the real pool's semantics — every task detects under the
-    state the initializer froze at executor creation — without the
-    spawn cost, so the epoch guard is testable with a live scheduler.
+    state file of the epoch it carries, and the initializer runs once —
+    without the spawn cost, so the epoch guard is testable with a live
+    scheduler.  Records the pickled size of its initargs.
     """
+
+    initargs_bytes = []
 
     def __init__(self, max_workers=None, mp_context=None,
                  initializer=None, initargs=()):
+        self.initargs_bytes.append(len(pickle.dumps(initargs)))
         initializer(*initargs)
 
     def submit(self, fn, *args):
@@ -323,16 +331,17 @@ class _InlinePool:
             future.set_exception(exc)
         return future
 
-    def shutdown(self, wait=True):
-        pass
+    def shutdown(self, wait=True, cancel_futures=False):
+        from repro.datalake.ingest import _PROCESS_STATE
+        _PROCESS_STATE.clear()
 
 
 class TestProcessMode:
     def test_process_epoch_guard_pins_pool_epoch(self, world,
                                                  monkeypatch):
-        """Pool workers detect under the snapshot frozen at executor
-        init, so tasks must carry the *pool* epoch: a mid-storm hot
-        swap then forces the owner's re-detection instead of letting a
+        """Pool workers detect under the version shipped at the start of
+        the run, so tasks must carry *that* epoch: a mid-storm hot swap
+        then forces the owner's re-detection instead of letting a
         stale-model verdict commit under the new version."""
         import concurrent.futures
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
@@ -355,7 +364,7 @@ class TestProcessMode:
                     if serial_prints[n] != p]
         assert mismatch == []
         # Detections dispatched after the swap ran under the stale
-        # pool snapshot and were re-judged at commit time.
+        # shipped version and were re-judged at commit time.
         counters = tracer.to_dict()["counters"]
         assert counters.get("ingest.epoch_redetect", 0) >= 1
 
@@ -397,35 +406,300 @@ class TestProcessMode:
 
 
 class TestSpawnWorkerView:
-    def test_one_candidate_view_per_spawn_worker(self, world,
+    def test_one_candidate_view_per_spawn_worker(self, world, tmp_path,
                                                   forward_log):
-        """A spawn worker runs θ over I_c once per run, on its first
-        task, and slices every arrival's I' view from it; its verdicts
-        equal the owner's."""
+        """A spawn worker runs θ over I_c once per model version, on its
+        first task under that version, and slices every arrival's I'
+        view from it; its verdicts equal the owner's."""
         from repro.datalake.ingest import (_PROCESS_STATE, _process_detect,
-                                           _process_init)
+                                           _process_init, _write_state)
         platform = make_platform(world)
         enld = platform.enld
         seed = world["config"].seed
-        arrivals = world["stream"].arrivals()[:3]
-        assert len({tuple(np.unique(a.y)) for a in arrivals}) == 3
-        forward_log.clear()
-        _process_init(enld.config, enld.model, enld.inventory_candidates,
-                      enld.cond_prob, seed, NO_WAIT_RETRY, True)
+        arrivals = world["stream"].arrivals()
+        batches = (arrivals[:3], arrivals[3:6])
+        for batch in batches:
+            assert len({tuple(np.unique(a.y)) for a in batch}) == 3
+        _process_init(enld.config, seed, NO_WAIT_RETRY, True)
         try:
-            outcomes = [_process_detect(a) for a in arrivals]
+            for epoch, batch in enumerate(batches, start=1):
+                if epoch > 1:
+                    platform.update_model()
+                forward_log.clear()
+                path = str(tmp_path / f"v{epoch}.pkl")
+                _write_state(path, enld)
+                outcomes = [_process_detect(a, epoch, path)
+                            for a in batch]
+                # The previous version's inputs were dropped on load.
+                assert _PROCESS_STATE["epoch"] == epoch
+                assert forward_log.rows(enld.model) == sorted(
+                    [len(enld.inventory_candidates)]
+                    + [len(a) for a in batch])
+                for arrival, (result, retries, _, degraded) in zip(
+                        batch, outcomes):
+                    assert retries == 0 and not degraded
+                    owner = enld.detect_stateless(
+                        arrival, arrival_rng(seed, arrival.name))
+                    assert (result.clean_mask.tobytes()
+                            == owner.clean_mask.tobytes())
+                    assert np.array_equal(
+                        result.inventory_clean_positions,
+                        owner.inventory_clean_positions)
+                    enld.commit_detection(owner)
         finally:
             _PROCESS_STATE.clear()
-        assert forward_log.rows(enld.model) == sorted(
-            [len(enld.inventory_candidates)] + [len(a) for a in arrivals])
-        for arrival, (result, retries, _, degraded) in zip(arrivals,
-                                                           outcomes):
-            assert retries == 0 and not degraded
-            owner = enld.detect_stateless(arrival,
-                                          arrival_rng(seed, arrival.name))
-            assert result.clean_mask.tobytes() == owner.clean_mask.tobytes()
-            assert np.array_equal(result.inventory_clean_positions,
-                                  owner.inventory_clean_positions)
+
+
+# ----------------------------------------------------------------------
+# The spawn pool's lifetime: one pool per pipeline
+# ----------------------------------------------------------------------
+def _pool_pids():
+    return sorted(p.pid for p in multiprocessing.active_children())
+
+
+class TestSpawnPoolLifecycle:
+    @pytest.mark.parametrize("how", ["close", "with", "drop", "raise"])
+    def test_workers_reaped_and_state_dir_removed(self, world, how,
+                                                  monkeypatch):
+        import tempfile
+        made = []
+        mkdtemp = tempfile.mkdtemp
+
+        def recording_mkdtemp(**kwargs):
+            made.append(mkdtemp(**kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(tempfile, "mkdtemp", recording_mkdtemp)
+        arrivals = world["stream"].arrivals()[:2]
+        pipeline = IngestPipeline(
+            make_platform(world),
+            IngestConfig(mode="process", workers=1, queue_capacity=2))
+        assert pipeline._pool is None          # lazy: no pool before run()
+        if how == "raise":
+            with pytest.raises(ValueError, match="duplicate"):
+                pipeline.run([arrivals + arrivals[:1]])
+        elif how == "with":
+            with pipeline:
+                pipeline.run([arrivals])
+                assert os.listdir(made[0]) == ["theta-v1.pkl"]
+                assert _pool_pids() != []
+        else:
+            pipeline.run([arrivals])
+            assert os.listdir(made[0]) == ["theta-v1.pkl"]
+            assert _pool_pids() != []
+            if how == "close":
+                pipeline.close()
+                pipeline.close()               # idempotent
+            else:
+                del pipeline                   # never closed
+        assert len(made) == 1
+        assert _pool_pids() == []
+        assert not os.path.exists(made[0])
+
+    def test_dead_worker_raises_then_next_run_boots_fresh(self, world):
+        arrivals = world["stream"].arrivals()
+        serial = IngestPipeline(make_platform(world),
+                                IngestConfig(mode="serial")
+                                ).run([arrivals[:1], arrivals[2:3]])
+        with IngestPipeline(make_platform(world),
+                            IngestConfig(mode="process", workers=1)
+                            ) as pipeline:
+            first = pipeline.run([arrivals[:1]])
+            (pid,) = _pool_pids()
+            broken = pipeline._pool.directory
+            os.kill(pid, signal.SIGKILL)
+            with pytest.raises(RuntimeError, match="BrokenProcessPool"):
+                pipeline.run([arrivals[1:2]])
+            assert _pool_pids() == [] and not os.path.exists(broken)
+            third = pipeline.run([arrivals[2:3]])
+            assert _pool_pids() not in ([], [pid])
+        prints = {**_fingerprints(first), **_fingerprints(third)}
+        assert prints == _fingerprints(serial)
+        assert _pool_pids() == []
+
+    def test_initargs_stay_small(self, world, monkeypatch):
+        """Spawn writes the initargs down a pipe the child reads at
+        start-up; past the 64 KiB pipe buffer, a child that dies first
+        blocks that write forever."""
+        import concurrent.futures
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            _InlinePool)
+        _InlinePool.initargs_bytes.clear()
+        arrivals = world["stream"].arrivals()[:2]
+        with IngestPipeline(make_platform(world),
+                            IngestConfig(mode="process", workers=1)
+                            ) as pipeline:
+            pipeline.run([arrivals[:1]])
+            pipeline.platform.update_model()
+            pipeline.run([arrivals[1:]])
+        # One pool for both runs, and a small payload for it.
+        assert len(_InlinePool.initargs_bytes) == 1
+        assert _InlinePool.initargs_bytes[0] < 64 * 1024
+
+
+#: Builds a small platform and arrival stream; the spawn-pool scripts
+#: below start with it.  The old design pickled (config, θ, I_c, P̃)
+#: into the initargs, which on this world is ~166 KB: well past a
+#: 64 KiB pipe buffer.
+_SCRIPT_WORLD = """
+import json, multiprocessing, os, sys
+import numpy as np
+from repro.core.config import ENLDConfig
+from repro.datalake import (ArrivalStream, IngestConfig, IngestPipeline,
+                            NO_WAIT_RETRY, NoisyLabelPlatform)
+from repro.datasets import generate, split_inventory_incremental, toy
+from repro.datasets.splits import ShardPlan
+from repro.noise import corrupt_labels, pair_asymmetric
+
+
+def build():
+    data = generate(toy(num_classes=6, samples_per_class=200), seed=60)
+    rng = np.random.default_rng(61)
+    inventory_clean, pool = split_inventory_incremental(data, rng)
+    transition = pair_asymmetric(6, 0.2)
+    inventory = corrupt_labels(inventory_clean, transition, rng)
+    stream = ArrivalStream(pool, ShardPlan(num_shards=8,
+                                           classes_per_shard=3),
+                           transition=transition, seed=62)
+    config = ENLDConfig(model_name="mlp", model_kwargs={"hidden": 32},
+                        init_epochs=4, iterations=1,
+                        steps_per_iteration=2, warmup_epochs=0,
+                        contrastive_k=2, seed=63)
+    return (lambda: NoisyLabelPlatform(inventory, config=config,
+                                       retry=NO_WAIT_RETRY),
+            stream.arrivals())
+"""
+
+#: Every spawn worker imports the caller's main module as
+#: ``__mp_main__``; this one exits there, before reading its start-up
+#: payload — as a worker with a failing import, or one killed at start,
+#: would.
+_DYING_WORKER_SCRIPT = """
+if __name__ == "__mp_main__":
+    raise SystemExit(3)
+""" + _SCRIPT_WORLD + """
+if __name__ == "__main__":
+    make_platform, arrivals = build()
+    pipeline = IngestPipeline(make_platform(),
+                              IngestConfig(mode="process", workers=1))
+    try:
+        pipeline.run([arrivals[:1]])
+    except RuntimeError as exc:
+        print("raised", repr(exc))
+        sys.exit(0)
+    print("returned without error")
+    sys.exit(1)
+"""
+
+#: Logs, from inside every spawn worker, each forward of θ over I_c.
+_POOL_REUSE_SCRIPT = _SCRIPT_WORLD + """
+import repro.datalake.ingest as ingest
+from repro.nn.featurecache import weights_digest
+
+LOG = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                   "views.jsonl")
+_compute_view = ingest.compute_view
+
+
+def _logged_view(model, dataset):
+    with open(LOG, "a") as fh:
+        fh.write(json.dumps([os.getpid(), weights_digest(model),
+                             len(dataset)]) + "\\n")
+    return _compute_view(model, dataset)
+
+
+ingest.compute_view = _logged_view
+
+
+def verdicts(report):
+    return {name: sub.result.clean_mask.tolist()
+            for name, sub in report.reports.items()}
+
+
+def storm(mode, batches):
+    platform = make_platform()
+    out = {"verdicts": {}, "pids": [], "versions": []}
+    with IngestPipeline(platform, IngestConfig(
+            mode=mode, workers=2, queue_capacity=4)) as pipeline:
+        for i, batch in enumerate(batches):
+            if i:
+                platform.update_model()
+            out["verdicts"].update(verdicts(pipeline.run([batch])))
+            out["pids"].append(sorted(
+                p.pid for p in multiprocessing.active_children()))
+            out["versions"].append(
+                [weights_digest(platform.enld.model),
+                 len(platform.enld.inventory_candidates)])
+    out["reaped"] = multiprocessing.active_children() == []
+    return out
+
+
+if __name__ == "__main__":
+    make_platform, arrivals = build()
+    batches = [arrivals[:4], arrivals[4:8]]
+    print(json.dumps({"process": storm("process", batches),
+                      "serial": storm("serial", batches)}))
+"""
+
+
+def _run_script(tmp_path, text, timeout=30):
+    """Run ``text`` as a script in its own session; kill what is left."""
+    script = tmp_path / "script.py"
+    script.write_text(text)
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    log = tmp_path / "out.txt"
+    with open(log, "w") as fh:
+        proc = subprocess.Popen([sys.executable, str(script)], env=env,
+                                stdout=fh, stderr=subprocess.STDOUT,
+                                start_new_session=True)
+        try:
+            code = proc.wait(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            code = None
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()
+    return code, log.read_text()
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="POSIX sessions")
+class TestSpawnPoolSubprocess:
+    def test_worker_dying_at_start_up_raises_instead_of_hanging(
+            self, tmp_path):
+        code, out = _run_script(tmp_path, _DYING_WORKER_SCRIPT)
+        assert code is not None, "process-mode run hung:\n" + out
+        assert code == 0, out
+        assert "BrokenProcessPool" in out, out
+
+    def test_one_pool_serves_every_run(self, tmp_path):
+        code, out = _run_script(tmp_path, _POOL_REUSE_SCRIPT, timeout=120)
+        assert code == 0, out
+        result = json.loads(out.strip().splitlines()[-1])
+        process, serial = result["process"], result["serial"]
+        # The same two workers serve both runs, and are reaped on exit.
+        first, second = process["pids"]
+        assert len(first) == 2 and first == second
+        assert process["reaped"]
+        # The verdicts equal the serial replay, under the same versions.
+        assert process["verdicts"] == serial["verdicts"]
+        assert process["versions"] == serial["versions"]
+        assert process["versions"][0] != process["versions"][1]
+        # Each worker runs θ over I_c once per model version it serves.
+        with open(tmp_path / "views.jsonl") as fh:
+            views = [json.loads(line) for line in fh]
+        sizes = dict(map(tuple, process["versions"]))
+        seen = [(pid, digest) for pid, digest, _ in views]
+        assert len(seen) == len(set(seen))
+        assert {pid for pid, _ in seen} <= set(first)
+        assert {digest for _, digest in seen} == set(sizes)
+        assert all(rows == sizes[digest] for _, digest, rows in views)
 
 
 #: What a spawn ingest worker imports: its initializer and task
