@@ -44,7 +44,11 @@ class GatedMLP(Classifier):
 
     def infer_features(self, x: np.ndarray) -> np.ndarray:
         # The same arithmetic on plain numpy: predictions run through
-        # this autograd-free path, forward_features only trains.
+        # this autograd-free path, forward_features only trains.  It
+        # must compute in the dtype of x, because predictions feed it
+        # float32 batches: built-in layers cast their weights to x's
+        # dtype, and Python-float constants such as 1.0 keep it, where
+        # a float64 array constant would upcast to float64.
         if x.ndim > 2:
             x = x.reshape(x.shape[0], -1)
         gate = 1.0 / (1.0 + np.exp(-self.gate.infer(x)))

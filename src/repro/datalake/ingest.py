@@ -131,7 +131,7 @@ class _Done:
 
 #: Owner-bound events: arrivals from producers, completions from
 #: workers, stream/worker exits.
-_Event = Tuple[str, Union[LabeledDataset, _Done, None]]
+_Event = Tuple[str, Union[LabeledDataset, _Done, Exception, None]]
 
 
 #: A pure detection callable ``(dataset, rng) -> DetectionResult``.
@@ -194,22 +194,28 @@ def _producer_loop(stream: ArrivalStream, fetch: Optional[FetchFn],
     Runs on a producer thread: the lake fetch (I/O latency) happens
     here, overlapped across streams; the semaphore acquire is the
     backpressure point.  ``stop`` aborts the stream early when the
-    owner is tearing down after an error.
+    owner is tearing down after an error.  An error from the fetch or
+    the stream is posted as ``stream_error`` for the owner to raise:
+    the owner blocks on ``events`` until every stream has reported.
     """
     with use_tracer(tracer):
-        for dataset in stream:
-            if fetch is not None:
-                with trace_span("lake_fetch"):
-                    dataset = fetch(dataset)
-            admitted = False
-            while not stop.is_set():
-                if slots.acquire(timeout=0.05):
-                    admitted = True
+        try:
+            for dataset in stream:
+                if fetch is not None:
+                    with trace_span("lake_fetch"):
+                        dataset = fetch(dataset)
+                admitted = False
+                while not stop.is_set():
+                    if slots.acquire(timeout=0.05):
+                        admitted = True
+                        break
+                if not admitted:
                     break
-            if not admitted:
-                break
-            events.put(("arrival", dataset))
-        events.put(("stream_done", None))
+                events.put(("arrival", dataset))
+        except Exception as exc:
+            events.put(("stream_error", exc))
+        else:
+            events.put(("stream_done", None))
 
 
 def _worker_loop(tasks: "queue.Queue[Optional[_Task]]",
@@ -678,6 +684,9 @@ class IngestPipeline:
                     if kind == "stream_done":
                         streams_live -= 1
                         continue
+                    if kind == "stream_error":
+                        assert isinstance(payload, Exception)
+                        raise payload
                     if kind == "arrival":
                         assert isinstance(payload, LabeledDataset)
                         self._claim_name(payload.name, seen_names)

@@ -117,7 +117,7 @@ class DenseMLPBlock(Module):
         # Each layer's output lands in its columns of one buffer, in
         # place of forward's growing concatenation (a pure copy).
         width = x.shape[1]
-        out = np.empty((x.shape[0], self.out_width))
+        out = np.empty((x.shape[0], self.out_width), dtype=x.dtype)
         out[:, :width] = x
         for layer in self.layers:
             new = layer.infer(F.relu_array(out[:, :width]))

@@ -67,6 +67,15 @@ def _sum_to(grad: np.ndarray, stat_shape: Tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+def cast_like(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``a`` (a weight or buffer) in the dtype of the batch ``x``.
+
+    Returns ``a`` itself when the dtypes already match, so float64
+    inference reads the float64 parameters uncopied.
+    """
+    return a.astype(x.dtype, copy=False)
+
+
 def relu_array(x: np.ndarray) -> np.ndarray:
     """``x * (x > 0)`` as a new array, like :meth:`Tensor.relu`.
 

@@ -17,8 +17,12 @@ Every module computes on three paths, all giving the same bytes:
   gradient.  Both run the graph's IEEE operations in the graph's
   order, so gradients, weights and running statistics are byte-equal
   to training through ``forward``.
-- ``infer`` serves inference: plain numpy, always eval mode,
-  bit-identical to the eval-mode ``forward``.
+- ``infer`` serves inference: plain numpy, always eval mode, in the
+  dtype of its input.  On float64 input it is bit-identical to the
+  eval-mode ``forward``; the ``predict_*`` methods of
+  :class:`~repro.nn.models.Classifier` feed it float32 batches.
+
+Training, the optimisers and the Tensor graph are float64 throughout.
 """
 
 from __future__ import annotations
@@ -162,10 +166,13 @@ class Module:
 
     # -- inference -----------------------------------------------------------
     def infer(self, x: np.ndarray) -> np.ndarray:  # pragma: no cover - abstract
-        """Eval-mode forward on a float64 numpy batch, without autograd.
+        """Eval-mode forward on a numpy batch, without autograd.
 
-        Computes exactly what ``forward`` computes in eval mode, in the
-        same order, whatever ``training`` says, and changes no state.
+        Computes what ``forward`` computes in eval mode, in the same
+        order, whatever ``training`` says, and changes no state.  The
+        result has the dtype of ``x``: weights and buffers are cast to
+        it, so a float32 batch runs in float32, and on float64 input
+        the result is byte-equal to ``forward``.
         Never writes into ``x``: batches are views of dataset arrays,
         some of them read-only.  The result may alias ``x`` only for
         layers that return their input unchanged (eval-mode dropout,
@@ -263,9 +270,9 @@ class Linear(Module):
         return F.linear(x, self.weight, self.bias)
 
     def infer(self, x: np.ndarray) -> np.ndarray:
-        out = x @ self.weight.data.T
+        out = x @ F.cast_like(self.weight.data, x).T
         if self.bias is not None:
-            out += self.bias.data
+            out += F.cast_like(self.bias.data, out)
         return out
 
     def train_forward(self, x, input_grad=True):
@@ -305,8 +312,8 @@ class Conv2d(Module):
 
     def infer(self, x: np.ndarray) -> np.ndarray:
         return F.conv2d_array(
-            x, self.weight.data,
-            None if self.bias is None else self.bias.data,
+            x, F.cast_like(self.weight.data, x),
+            None if self.bias is None else F.cast_like(self.bias.data, x),
             stride=self.stride, padding=self.padding)
 
     def train_forward(self, x, input_grad=True):
@@ -442,17 +449,18 @@ class BatchNorm1d(Module):
 
     def infer(self, x: np.ndarray) -> np.ndarray:
         self._check_shape(x.shape)
-        return self._scale_shift_(x - self.running_mean.data)
+        return self._scale_shift_(x - F.cast_like(self.running_mean.data, x))
 
     def _infer_(self, h: np.ndarray) -> np.ndarray:
         self._check_shape(h.shape)
-        h -= self.running_mean.data
+        h -= F.cast_like(self.running_mean.data, h)
         return self._scale_shift_(h)
 
     def _scale_shift_(self, h: np.ndarray) -> np.ndarray:
-        h /= np.sqrt(self.running_var.data + self.eps)
-        h *= self.gamma.data
-        h += self.beta.data
+        # The running std is formed in float64, then cast.
+        h /= F.cast_like(np.sqrt(self.running_var.data + self.eps), h)
+        h *= F.cast_like(self.gamma.data, h)
+        h += F.cast_like(self.beta.data, h)
         return h
 
     def train_forward(self, x, input_grad=True):
@@ -520,8 +528,8 @@ class LayerNorm(Module):
         centered = x - x.sum(axis=-1, keepdims=True) * inv_count
         var = (centered * centered).sum(axis=-1, keepdims=True) * inv_count
         centered /= (var + self.eps) ** 0.5
-        centered *= self.gamma.data
-        centered += self.beta.data
+        centered *= F.cast_like(self.gamma.data, centered)
+        centered += F.cast_like(self.beta.data, centered)
         return centered
 
     def train_forward(self, x, input_grad=True):

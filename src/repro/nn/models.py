@@ -7,6 +7,9 @@ Every model is a :class:`Classifier` exposing the two views ENLD needs
 - ``M̂(x, θ)`` — penultimate feature representation, via
   :meth:`Classifier.features`.
 
+Both are computed in float32 and returned as float64; training stays
+float64 (see :meth:`Classifier._infer_rows`).
+
 The registry maps the paper's architecture names to CPU-tractable
 analogs (see DESIGN.md):
 
@@ -38,7 +41,11 @@ class Classifier(Module):
 
     Subclasses implement :meth:`forward_features` (the Tensor graph)
     and :meth:`infer_features`, the same arithmetic on plain numpy that
-    every ``predict_*`` method runs on.  Training runs
+    every ``predict_*`` method runs on.  ``infer_features`` must compute
+    in the dtype of its input (see :meth:`Module.infer`): the
+    ``predict_*`` methods feed it float32 batches and upcast what it
+    returns, so one that upcasts on the way still works but gives up
+    the float32 saving.  Training runs
     :meth:`train_forward_features`/:meth:`backward_features`; their
     default runs :meth:`forward_features` on the Tensor graph, and
     every built-in model overrides them with plain numpy.  The final
@@ -61,8 +68,8 @@ class Classifier(Module):
 
     def infer_features(self, x: np.ndarray
                        ) -> np.ndarray:  # pragma: no cover - abstract
-        """:meth:`forward_features` on the inference path (see
-        :meth:`Module.infer`)."""
+        """:meth:`forward_features` on the inference path, in the dtype
+        of ``x`` (see :meth:`Module.infer`)."""
         raise NotImplementedError
 
     def infer(self, x: np.ndarray) -> np.ndarray:
@@ -95,18 +102,25 @@ class Classifier(Module):
                     widths: Tuple[int, ...]) -> Tuple[np.ndarray, ...]:
         """The batched loop behind every ``predict_*`` method.
 
-        ``step`` maps one float64 batch of ``batch_size`` rows (the
+        ``step`` maps one float32 batch of ``batch_size`` rows (the
         last may be shorter) to a tuple of per-row outputs; each is
-        concatenated over the batches.  ``widths`` gives their column
-        counts for an input without rows.  Row values depend on the
-        batch a row shares (BLAS blocking varies with the row count),
-        so the batching is part of the result.
+        concatenated over the batches into a float64 array.  ``widths``
+        gives their column counts for an input without rows.  Row
+        values depend on the batch a row shares (BLAS blocking varies
+        with the row count), so the batching is part of the result.
+
+        Eval-mode inference computes in float32: the per-arrival
+        forward over ``I′`` is most of a detection on a large
+        inventory, and float32 halves the bytes every layer moves.
+        Training and the Tensor graph stay float64, and so does
+        everything downstream of this loop.
         """
-        parts = [step(_as_array(x[start:start + batch_size]))
+        parts = [step(_as_array(x[start:start + batch_size], np.float32))
                  for start in range(0, len(x), batch_size)]
         if not parts:
             return tuple(np.empty((0, width)) for width in widths)
-        return tuple(np.concatenate(column) for column in zip(*parts))
+        return tuple(np.concatenate(column, dtype=np.float64)
+                     for column in zip(*parts))
 
     def predict_logits(self, x: np.ndarray,
                        batch_size: int = 256) -> np.ndarray:
@@ -117,6 +131,7 @@ class Classifier(Module):
     def predict_proba(self, x: np.ndarray,
                       batch_size: int = 256) -> np.ndarray:
         """Softmax confidences ``M(x, θ)`` for each row of ``x``."""
+        # predict_logits upcasts, so the softmax runs in float64.
         return F.softmax_rows_(self.predict_logits(x, batch_size))
 
     def predict(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
@@ -131,7 +146,8 @@ class Classifier(Module):
 
     def _view(self, batch: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         features = self.infer_features(batch)
-        return F.softmax_rows_(self.head.infer(features)), features
+        logits = self.head.infer(features).astype(np.float64)
+        return F.softmax_rows_(logits), features
 
     def predict_view(self, x: np.ndarray, batch_size: int = 256
                      ) -> "tuple[np.ndarray, np.ndarray]":

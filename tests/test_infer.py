@@ -1,10 +1,13 @@
 """The autograd-free inference path (``Module.infer``).
 
-``infer`` must reproduce the eval-mode ``forward`` byte for byte, for
-every layer and every registered model, at batch sizes on both sides
-of the 256-row inference batch; it must never write into its input,
-and inference must leave the model's mode and running statistics as
-they were.
+``infer`` must reproduce the eval-mode ``forward`` byte for byte on
+float64 input, for every layer and every registered model, at batch
+sizes on both sides of the 256-row inference batch, and must keep
+float32 input in float32.  The ``predict_*`` methods run ``infer`` on
+float32 batches: they must equal that computation upcast, byte for
+byte, and stay within a float32 tolerance of the float64 graph.
+Inference must never write into its input, and must leave the model's
+mode and running statistics as they were.
 """
 
 import numpy as np
@@ -18,6 +21,12 @@ from repro.nn.models import available_models, build_model
 from repro.nn.tensor import Tensor
 
 BATCH_SIZES = (1, 17, 255, 257, 600)
+#: How far a float32 ``predict_*`` output may sit from the float64
+#: graph, relative to the largest magnitude of the output: each float32
+#: operation rounds by at most eps/2, and the deepest model chains a
+#: few hundred of them per row (resnet164: 27 blocks of norm, matmul,
+#: norm, matmul, add).  The largest seen is about 18 eps (resnet110).
+FLOAT32_RTOL = 100 * float(np.finfo(np.float32).eps)
 
 
 def _input(shape, seed=0):
@@ -43,6 +52,12 @@ def _reference(module, x):
         return module(Tensor(x)).data
     finally:
         module.train()
+
+
+def _softmax(logits):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    return exp / exp.sum(axis=1, keepdims=True)
 
 
 def _assert_same_bytes(got, want):
@@ -88,6 +103,15 @@ class TestLayers:
         _randomise_running_stats(layer)
         x = _input((n,) + row_shape, seed=n)
         _assert_same_bytes(layer.infer(x), _reference(layer, x))
+
+    @pytest.mark.parametrize("name", sorted(LAYERS))
+    def test_infer_keeps_float32(self, name):
+        factory, row_shape = LAYERS[name]
+        layer = factory()
+        _randomise_running_stats(layer)
+        x = _input((17,) + row_shape).astype(np.float32)
+        assert layer.infer(x).dtype == np.float32
+        assert layer._infer_(x.copy()).dtype == np.float32
 
     @pytest.mark.parametrize("name", sorted(LAYERS))
     def test_infer_leaves_readonly_input_intact(self, name):
@@ -137,6 +161,12 @@ class TestModels:
             model.train()
         _assert_same_bytes(model.infer_features(x), want)
 
+    def test_infer_keeps_float32(self, named_model):
+        name, model = named_model
+        x = _rows(name, 17).astype(np.float32)
+        assert model.infer(x).dtype == np.float32
+        assert model.infer_features(x).dtype == np.float32
+
     def test_smallconv_accepts_nchw(self):
         model = _model("smallconv")
         x = _rows("smallconv", 17).reshape(17, 1, 8, 8)
@@ -145,10 +175,35 @@ class TestModels:
                            model.predict_logits(x.reshape(17, -1)))
 
     @pytest.mark.parametrize("n", (17, 600))
+    def test_predict_methods_equal_batched_float32_infer(self, named_model,
+                                                         n):
+        # The reference is infer over the same 256-row float32 batches
+        # the predict methods use, upcast, with a float64 softmax.
+        name, model = named_model
+        x = _rows(name, n)
+        feats, logits = [], []
+        for start in range(0, n, 256):
+            f = model.infer_features(
+                x[start:start + 256].astype(np.float32))
+            feats.append(f)
+            logits.append(model.head.infer(f))
+        feats = np.concatenate(feats).astype(np.float64)
+        logits = np.concatenate(logits).astype(np.float64)
+        probs = _softmax(logits)
+        _assert_same_bytes(model.predict_logits(x), logits)
+        _assert_same_bytes(model.features(x), feats)
+        _assert_same_bytes(model.predict_proba(x), probs)
+        _assert_same_bytes(model.predict(x), logits.argmax(axis=1))
+        view_probs, view_feats = model.predict_view(x)
+        _assert_same_bytes(view_probs, probs)
+        _assert_same_bytes(view_feats, feats)
+
+    @pytest.mark.parametrize("n", (17, 600))
     def test_predict_methods_match_batched_eval_forward(self, named_model,
                                                         n):
-        # The reference is the eval-mode forward over the same 256-row
-        # batches the predict methods use.
+        # The reference is the float64 eval-mode forward over the same
+        # 256-row batches the predict methods use; they compute in
+        # float32, so they match it within FLOAT32_RTOL.
         name, model = named_model
         x = _rows(name, n)
         model.eval()
@@ -161,16 +216,15 @@ class TestModels:
         finally:
             model.train()
         feats, logits = np.concatenate(feats), np.concatenate(logits)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        exp = np.exp(shifted)
-        probs = exp / exp.sum(axis=1, keepdims=True)
-        _assert_same_bytes(model.predict_logits(x), logits)
-        _assert_same_bytes(model.features(x), feats)
-        _assert_same_bytes(model.predict_proba(x), probs)
-        _assert_same_bytes(model.predict(x), logits.argmax(axis=1))
-        view_probs, view_feats = model.predict_view(x)
-        _assert_same_bytes(view_probs, probs)
-        _assert_same_bytes(view_feats, feats)
+        logit_bound = FLOAT32_RTOL * np.abs(logits).max()
+        assert np.abs(model.predict_logits(x) - logits).max() <= logit_bound
+        assert (np.abs(model.features(x) - feats).max()
+                <= FLOAT32_RTOL * np.abs(feats).max())
+        # Softmax moves no probability by more than half the largest
+        # change of a logit.
+        assert (np.abs(model.predict_proba(x) - _softmax(logits)).max()
+                <= logit_bound)
+        assert (model.predict(x) == logits.argmax(axis=1)).all()
 
     def test_predict_leaves_input_intact(self, named_model):
         name, model = named_model

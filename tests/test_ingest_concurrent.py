@@ -7,6 +7,7 @@ import pickle
 import signal
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -268,6 +269,35 @@ class TestStormResilience:
             with pytest.raises(ValueError,
                                match="duplicate dataset name"):
                 IngestPipeline(platform, config).run([dup])
+
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_fetch_error_raises_instead_of_hanging(self, world, mode):
+        """A producer whose fetch raises must still report to the
+        owner: ``run`` raises the error and closes the pool."""
+        def fetch(dataset):
+            raise OSError("lake fetch failed")
+
+        pipeline = IngestPipeline(make_platform(world),
+                                  IngestConfig(mode=mode, workers=1),
+                                  fetch=fetch)
+        outcome = {}
+
+        def run():
+            try:
+                pipeline.run([world["stream"].arrivals()[:2]])
+            except OSError as exc:
+                outcome["error"] = exc
+
+        # On a daemon thread, so a hang fails the test, not the suite.
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+        try:
+            assert not runner.is_alive(), "run() hung on a fetch error"
+            assert str(outcome.get("error")) == "lake fetch failed"
+            assert pipeline._pool is None
+        finally:
+            pipeline.close()
 
     def test_epoch_guard_redetects_after_hot_swap(self, world):
         """A synchronous scheduler swap mid-storm must not let verdicts
