@@ -27,7 +27,7 @@ import numpy as np
 from ..core.detector import DetectionResult
 from ..nn.data import LabeledDataset
 from ..nn.losses import cross_entropy_array
-from ..nn.models import build_model
+from ..nn.models import INFER_BATCH_ROWS, build_model
 from ..nn.optim import SGD
 from ..nn.train import fit_epoch
 from ..noise.injector import MISSING_LABEL
@@ -36,7 +36,7 @@ from .base import NoisyLabelDetector
 
 
 def per_sample_losses(model, dataset: LabeledDataset,
-                      batch_size: int = 256) -> np.ndarray:
+                      batch_size: int = INFER_BATCH_ROWS) -> np.ndarray:
     """Cross-entropy of every sample under the current model."""
     logits = model.predict_logits(dataset.flat_x(), batch_size)
     out = np.empty(len(dataset))

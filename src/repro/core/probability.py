@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from ..nn.data import LabeledDataset
-from ..nn.models import Classifier
+from ..nn.models import INFER_BATCH_ROWS, Classifier
 
 
 def estimate_joint_counts(observed: np.ndarray, predicted: np.ndarray,
@@ -48,7 +48,7 @@ def conditional_from_joint(joint: np.ndarray) -> np.ndarray:
 
 def estimate_conditional(model: Classifier, dataset: LabeledDataset,
                          num_classes: Optional[int] = None,
-                         batch_size: int = 256) -> np.ndarray:
+                         batch_size: int = INFER_BATCH_ROWS) -> np.ndarray:
     """End-to-end §IV-B estimation on a dataset's observed labels."""
     n_classes = num_classes or model.num_classes
     predicted = model.predict(dataset.flat_x(), batch_size=batch_size)

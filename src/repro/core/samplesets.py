@@ -17,7 +17,7 @@ import numpy as np
 
 from ..nn.data import LabeledDataset
 from ..nn.featurecache import FeatureCache
-from ..nn.models import Classifier
+from ..nn.models import INFER_BATCH_ROWS, Classifier
 from ..noise.injector import MISSING_LABEL
 
 
@@ -55,7 +55,7 @@ class ModelView:
 
 
 def compute_view(model: Classifier, dataset: LabeledDataset,
-                 batch_size: int = 256,
+                 batch_size: int = INFER_BATCH_ROWS,
                  cache: Optional[FeatureCache] = None) -> ModelView:
     """Evaluate ``M`` and ``M̂`` for every sample of ``dataset``.
 

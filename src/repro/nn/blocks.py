@@ -50,9 +50,11 @@ class ResidualMLPBlock(Module):
             h = F.relu_(self.norm1.infer(x))
         else:
             h = F.relu_array(x)
-        h = self.fc1.infer(h)
         if self.norm2 is not None:
-            h = self.norm2._infer_(h)
+            # Folded per call: θ′ changes at every fine-tuning step.
+            h = self.fc1.infer_scaled(h, *self.norm2.eval_affine())
+        else:
+            h = self.fc1.infer(h)
         return self.fc2.infer(F.relu_(h))
 
     def infer(self, x: np.ndarray) -> np.ndarray:

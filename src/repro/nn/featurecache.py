@@ -49,7 +49,7 @@ import numpy as np
 
 from ..obs import incr
 from .layers import Module
-from .models import Classifier
+from .models import INFER_BATCH_ROWS, Classifier
 
 #: Default number of (probs, features) pairs kept per cache.
 DEFAULT_MAX_ENTRIES = 8
@@ -107,7 +107,7 @@ class FeatureCache:
 
     # ------------------------------------------------------------------
     def view(self, model: Classifier, x: np.ndarray,
-             batch_size: int = 256) -> ViewPair:
+             batch_size: int = INFER_BATCH_ROWS) -> ViewPair:
         """``(probs, features)`` of ``model`` over ``x``, cached.
 
         A hit returns the stored arrays without touching the model; a

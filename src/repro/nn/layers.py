@@ -5,7 +5,7 @@ scale: every layer derives from :class:`Module`, exposes
 ``parameters()`` for optimisers, a ``train()``/``eval()`` mode switch,
 and a ``__call__``/``forward`` contract.
 
-Every module computes on three paths, all giving the same bytes:
+Every module computes on three paths:
 
 - ``forward`` builds the :class:`~repro.nn.tensor.Tensor` autograd
   graph.  It is the reference the other two paths are tested against,
@@ -19,7 +19,10 @@ Every module computes on three paths, all giving the same bytes:
   to training through ``forward``.
 - ``infer`` serves inference: plain numpy, always eval mode, in the
   dtype of its input.  On float64 input it is bit-identical to the
-  eval-mode ``forward``; the ``predict_*`` methods of
+  eval-mode ``forward``, except where eval-mode BatchNorm runs as one
+  affine ``x * scale + shift`` (folded into the preceding Linear inside
+  a residual block), which rounds differently from the graph's four
+  operations; the ``predict_*`` methods of
   :class:`~repro.nn.models.Classifier` feed it float32 batches.
 
 Training, the optimisers and the Tensor graph are float64 throughout.
@@ -169,10 +172,12 @@ class Module:
         """Eval-mode forward on a numpy batch, without autograd.
 
         Computes what ``forward`` computes in eval mode, in the same
-        order, whatever ``training`` says, and changes no state.  The
+        order (BatchNorm excepted), whatever ``training`` says, and
+        changes no state.  The
         result has the dtype of ``x``: weights and buffers are cast to
-        it, so a float32 batch runs in float32, and on float64 input
-        the result is byte-equal to ``forward``.
+        it, so a float32 batch runs in float32.  On float64 input the
+        result is byte-equal to ``forward`` for every module without
+        BatchNorm, and within rounding of it for one with BatchNorm.
         Never writes into ``x``: batches are views of dataset arrays,
         some of them read-only.  The result may alias ``x`` only for
         layers that return their input unchanged (eval-mode dropout,
@@ -273,6 +278,17 @@ class Linear(Module):
         out = x @ F.cast_like(self.weight.data, x).T
         if self.bias is not None:
             out += F.cast_like(self.bias.data, out)
+        return out
+
+    def infer_scaled(self, x: np.ndarray, scale: np.ndarray,
+                     shift: np.ndarray) -> np.ndarray:
+        """``infer(x) * scale + shift`` (per output feature) as one
+        matmul-plus-bias: ``W·scale[:, None]`` and ``b·scale + shift``
+        are formed in float64, then cast to the dtype of ``x``."""
+        weight = self.weight.data * scale[:, None]
+        bias = shift if self.bias is None else self.bias.data * scale + shift
+        out = x @ F.cast_like(weight, x).T
+        out += F.cast_like(bias, out)
         return out
 
     def train_forward(self, x, input_grad=True):
@@ -447,20 +463,24 @@ class BatchNorm1d(Module):
         if len(shape) != 2:
             raise ValueError(f"BatchNorm1d expects (N, F), got {shape}")
 
+    def eval_affine(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Eval-mode normalisation as ``x * scale + shift``: the float64
+        ``(scale, shift)`` folded from the running statistics, γ and β."""
+        scale = self.gamma.data / np.sqrt(self.running_var.data + self.eps)
+        return scale, self.beta.data - self.running_mean.data * scale
+
     def infer(self, x: np.ndarray) -> np.ndarray:
         self._check_shape(x.shape)
-        return self._scale_shift_(x - F.cast_like(self.running_mean.data, x))
+        scale, shift = self.eval_affine()
+        out = x * F.cast_like(scale, x)
+        out += F.cast_like(shift, out)
+        return out
 
     def _infer_(self, h: np.ndarray) -> np.ndarray:
         self._check_shape(h.shape)
-        h -= F.cast_like(self.running_mean.data, h)
-        return self._scale_shift_(h)
-
-    def _scale_shift_(self, h: np.ndarray) -> np.ndarray:
-        # The running std is formed in float64, then cast.
-        h /= F.cast_like(np.sqrt(self.running_var.data + self.eps), h)
-        h *= F.cast_like(self.gamma.data, h)
-        h += F.cast_like(self.beta.data, h)
+        scale, shift = self.eval_affine()
+        h *= F.cast_like(scale, h)
+        h += F.cast_like(shift, h)
         return h
 
     def train_forward(self, x, input_grad=True):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import LabeledDataset
-from .models import Classifier
+from .models import INFER_BATCH_ROWS, Classifier
 
 
 def accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
@@ -22,7 +22,7 @@ def accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
 
 def evaluate_accuracy(model: Classifier, dataset: LabeledDataset,
                       use_true_labels: bool = False,
-                      batch_size: int = 256) -> float:
+                      batch_size: int = INFER_BATCH_ROWS) -> float:
     """Model accuracy on a dataset.
 
     ``use_true_labels=True`` evaluates against hidden ground truth (for

@@ -35,6 +35,12 @@ from .layers import (BatchNorm1d, Conv2d, Linear, Module, ReLU,
 from .rng import resolve_rng
 from .tensor import Tensor, _as_array
 
+#: Rows per float32 batch of every ``predict_*`` call and of each
+#: helper that wraps one.  Row values depend on the batch a row shares,
+#: so every caller that must reproduce another's view (an owner and its
+#: spawn workers) has to batch alike: keep each default on this name.
+INFER_BATCH_ROWS = 1024
+
 
 class Classifier(Module):
     """A classifier with an explicit feature extractor and linear head.
@@ -112,8 +118,12 @@ class Classifier(Module):
         Eval-mode inference computes in float32: the per-arrival
         forward over ``I′`` is most of a detection on a large
         inventory, and float32 halves the bytes every layer moves.
-        Training and the Tensor graph stay float64, and so does
-        everything downstream of this loop.
+        Eval-mode BatchNorm is one affine, folded into the preceding
+        ``fc1`` inside a residual block, and the default batch of
+        :data:`INFER_BATCH_ROWS` rows amortises each layer's per-call
+        overhead while its temporaries stay cache-sized.  Training and
+        the Tensor graph stay float64, and so does everything
+        downstream of this loop.
         """
         parts = [step(_as_array(x[start:start + batch_size], np.float32))
                  for start in range(0, len(x), batch_size)]
@@ -123,22 +133,22 @@ class Classifier(Module):
                      for column in zip(*parts))
 
     def predict_logits(self, x: np.ndarray,
-                       batch_size: int = 256) -> np.ndarray:
+                       batch_size: int = INFER_BATCH_ROWS) -> np.ndarray:
         """Raw class scores for each row of ``x``."""
         return self._infer_rows(x, batch_size, lambda b: (self.infer(b),),
                                 (self.num_classes,))[0]
 
     def predict_proba(self, x: np.ndarray,
-                      batch_size: int = 256) -> np.ndarray:
+                      batch_size: int = INFER_BATCH_ROWS) -> np.ndarray:
         """Softmax confidences ``M(x, θ)`` for each row of ``x``."""
         # predict_logits upcasts, so the softmax runs in float64.
         return F.softmax_rows_(self.predict_logits(x, batch_size))
 
-    def predict(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
+    def predict(self, x: np.ndarray, batch_size: int = INFER_BATCH_ROWS) -> np.ndarray:
         """Predicted labels ``argmax M(x, θ)``."""
         return self.predict_logits(x, batch_size).argmax(axis=1)
 
-    def features(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
+    def features(self, x: np.ndarray, batch_size: int = INFER_BATCH_ROWS) -> np.ndarray:
         """Penultimate representation ``M̂(x, θ)`` for each row of ``x``."""
         return self._infer_rows(x, batch_size,
                                 lambda b: (self.infer_features(b),),
@@ -149,7 +159,7 @@ class Classifier(Module):
         logits = self.head.infer(features).astype(np.float64)
         return F.softmax_rows_(logits), features
 
-    def predict_view(self, x: np.ndarray, batch_size: int = 256
+    def predict_view(self, x: np.ndarray, batch_size: int = INFER_BATCH_ROWS
                      ) -> "tuple[np.ndarray, np.ndarray]":
         """``(M(x, θ), M̂(x, θ))`` sharing one forward pass.
 

@@ -32,7 +32,7 @@ from .data import DataLoader, LabeledDataset
 from .losses import cross_entropy_array, soft_cross_entropy_array
 from .metrics import evaluate_accuracy
 from .mixup import mixup_batch
-from .models import Classifier
+from .models import INFER_BATCH_ROWS, Classifier
 from .optim import Optimizer, SGD
 from .tensor import _as_array
 
@@ -137,7 +137,7 @@ def fit(model: Classifier, dataset: LabeledDataset,
 
 def evaluate_loss(model: Classifier, dataset: LabeledDataset,
                   use_true_labels: bool = False,
-                  batch_size: int = 256) -> float:
+                  batch_size: int = INFER_BATCH_ROWS) -> float:
     """Mean cross-entropy of ``model`` on ``dataset`` (no gradients)."""
     if len(dataset) == 0:
         return 0.0

@@ -1,26 +1,45 @@
 """The autograd-free inference path (``Module.infer``).
 
-``infer`` must reproduce the eval-mode ``forward`` byte for byte on
-float64 input, for every layer and every registered model, at batch
-sizes on both sides of the 256-row inference batch, and must keep
+``infer`` must reproduce the eval-mode ``forward`` on float64 input,
+for every layer and every registered model: byte for byte for a module
+without BatchNorm, and within :data:`FOLD_RTOL` for one with it, whose
+eval-mode BatchNorm runs as one affine ``x * scale + shift`` (folded
+into ``fc1`` inside a residual block).  That arithmetic is checked
+byte for byte against explicit references.  ``infer`` must keep
 float32 input in float32.  The ``predict_*`` methods run ``infer`` on
-float32 batches: they must equal that computation upcast, byte for
-byte, and stay within a float32 tolerance of the float64 graph.
-Inference must never write into its input, and must leave the model's
-mode and running statistics as they were.
+float32 batches of ``INFER_BATCH_ROWS`` rows: they must equal that
+computation upcast, byte for byte, and stay within a float32 tolerance
+of the float64 graph.  Inference must never write into its input, and
+must leave the model's mode and running statistics as they were.
 """
+
+import inspect
 
 import numpy as np
 import pytest
 
+from repro.baselines.loss_tracking import per_sample_losses
+from repro.core.probability import estimate_conditional
+from repro.core.samplesets import compute_view
 from repro.nn.blocks import (DenseMLPBlock, ResidualConvBlock,
                              ResidualMLPBlock, TransitionMLP)
+from repro.nn.featurecache import FeatureCache
 from repro.nn.layers import (BatchNorm1d, Conv2d, Dropout, Flatten,
                              LayerNorm, Linear, ReLU, Sequential, Tanh)
-from repro.nn.models import available_models, build_model
+from repro.nn.metrics import evaluate_accuracy
+from repro.nn.models import (INFER_BATCH_ROWS, Classifier,
+                             available_models, build_model)
 from repro.nn.tensor import Tensor
+from repro.nn.train import evaluate_loss
 
 BATCH_SIZES = (1, 17, 255, 257, 600)
+#: How far a float64 ``infer`` of a module with BatchNorm may sit from
+#: the eval-mode graph, relative to the largest magnitude of the
+#: output: the folded affine rounds once or twice per BatchNorm where
+#: the graph's subtract, divide, multiply and add round four times,
+#: and the deepest model chains 55 BatchNorms per row (resnet164).
+#: The largest seen is about 28 eps (resnet164, 17 rows).
+FOLD_RTOL = 100 * float(np.finfo(np.float64).eps)
 #: How far a float32 ``predict_*`` output may sit from the float64
 #: graph, relative to the largest magnitude of the output: each float32
 #: operation rounds by at most eps/2, and the deepest model chains a
@@ -65,6 +84,19 @@ def _assert_same_bytes(got, want):
     assert got.tobytes() == want.tobytes()
 
 
+def _has_batchnorm(module):
+    return any(isinstance(m, BatchNorm1d) for m in module.modules())
+
+
+def _assert_matches_graph(module, got, want):
+    """Byte-equal without BatchNorm; within FOLD_RTOL with it."""
+    if not _has_batchnorm(module):
+        _assert_same_bytes(got, want)
+        return
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.abs(got - want).max() <= FOLD_RTOL * np.abs(want).max()
+
+
 def _rng():
     return np.random.default_rng(0)
 
@@ -102,7 +134,7 @@ class TestLayers:
         layer = factory()
         _randomise_running_stats(layer)
         x = _input((n,) + row_shape, seed=n)
-        _assert_same_bytes(layer.infer(x), _reference(layer, x))
+        _assert_matches_graph(layer, layer.infer(x), _reference(layer, x))
 
     @pytest.mark.parametrize("name", sorted(LAYERS))
     def test_infer_keeps_float32(self, name):
@@ -123,12 +155,80 @@ class TestLayers:
         layer.infer(x)
         _assert_same_bytes(x, before)
 
+    @pytest.mark.parametrize("name", sorted(LAYERS))
+    def test_infer_leaves_running_stats_untouched(self, name):
+        factory, row_shape = LAYERS[name]
+        layer = factory()
+        _randomise_running_stats(layer)
+        state = layer.state_dict()
+        x = _input((17,) + row_shape)
+        layer.infer(x)
+        layer._infer_(x.copy())
+        layer.infer(x.astype(np.float32))
+        after = layer.state_dict()
+        assert after.keys() == state.keys()
+        assert all(after[k].tobytes() == v.tobytes()
+                   for k, v in state.items())
+
     def test_owned_input_may_be_overwritten(self):
         layer = Sequential(Linear(12, 8, rng=_rng()), BatchNorm1d(8),
                            ReLU())
         _randomise_running_stats(layer)
         x = _input((17, 12))
         _assert_same_bytes(layer._infer_(x.copy()), layer.infer(x))
+
+
+def _bn_affine(bn):
+    """Eval-mode BatchNorm as ``(scale, shift)``, spelled out."""
+    scale = bn.gamma.data / np.sqrt(bn.running_var.data + bn.eps)
+    return scale, bn.beta.data - bn.running_mean.data * scale
+
+
+def _relu(x):
+    return x * (x > 0)
+
+
+class TestFoldedArithmetic:
+    """The new eval-mode arithmetic, byte for byte against references
+    written out here."""
+
+    @pytest.mark.parametrize("n", BATCH_SIZES)
+    def test_batchnorm_infer_is_one_affine(self, n):
+        bn = BatchNorm1d(12)
+        _randomise_running_stats(bn)
+        x = _input((n, 12), seed=n)
+        scale, shift = _bn_affine(bn)
+        want = x * scale + shift
+        _assert_same_bytes(bn.infer(x), want)
+        _assert_same_bytes(bn._infer_(x.copy()), want)
+
+    def test_batchnorm_affine_is_cast_once_for_float32(self):
+        bn = BatchNorm1d(12)
+        _randomise_running_stats(bn)
+        x = _input((17, 12)).astype(np.float32)
+        scale, shift = _bn_affine(bn)
+        want = x * scale.astype(np.float32) + shift.astype(np.float32)
+        _assert_same_bytes(bn.infer(x), want)
+        _assert_same_bytes(bn._infer_(x.copy()), want)
+
+    @pytest.mark.parametrize("use_norm", (True, False))
+    @pytest.mark.parametrize("n", BATCH_SIZES)
+    def test_residual_block_folds_norm2_into_fc1(self, n, use_norm):
+        block = ResidualMLPBlock(12, rng=_rng(), use_norm=use_norm)
+        _randomise_running_stats(block)
+        x = _input((n, 12), seed=n)
+        w1, b1 = block.fc1.weight.data, block.fc1.bias.data
+        if use_norm:
+            scale1, shift1 = _bn_affine(block.norm1)
+            h = _relu(x * scale1 + shift1)
+            scale2, shift2 = _bn_affine(block.norm2)
+            h = h @ (w1 * scale2[:, None]).T + (b1 * scale2 + shift2)
+        else:
+            h = _relu(x) @ w1.T + b1
+        h = _relu(h) @ block.fc2.weight.data.T + block.fc2.bias.data
+        want = x + h
+        _assert_same_bytes(block.infer(x), want)
+        _assert_same_bytes(block._infer_(x.copy()), want)
 
 
 def _model(name):
@@ -153,13 +253,13 @@ class TestModels:
     def test_infer_matches_eval_forward(self, named_model, n):
         name, model = named_model
         x = _rows(name, n)
-        _assert_same_bytes(model.infer(x), _reference(model, x))
+        _assert_matches_graph(model, model.infer(x), _reference(model, x))
         model.eval()
         try:
             want = model.forward_features(Tensor(x)).data
         finally:
             model.train()
-        _assert_same_bytes(model.infer_features(x), want)
+        _assert_matches_graph(model, model.infer_features(x), want)
 
     def test_infer_keeps_float32(self, named_model):
         name, model = named_model
@@ -174,17 +274,20 @@ class TestModels:
         _assert_same_bytes(model.predict_logits(x),
                            model.predict_logits(x.reshape(17, -1)))
 
-    @pytest.mark.parametrize("n", (17, 600))
+    @pytest.mark.parametrize("n", (17, 600, INFER_BATCH_ROWS,
+                                   INFER_BATCH_ROWS + 1))
     def test_predict_methods_equal_batched_float32_infer(self, named_model,
                                                          n):
-        # The reference is infer over the same 256-row float32 batches
-        # the predict methods use, upcast, with a float64 softmax.
+        # The reference is infer over the same INFER_BATCH_ROWS-row
+        # float32 batches the predict methods use, upcast, with a
+        # float64 softmax.
         name, model = named_model
         x = _rows(name, n)
+        rows = INFER_BATCH_ROWS
         feats, logits = [], []
-        for start in range(0, n, 256):
+        for start in range(0, n, rows):
             f = model.infer_features(
-                x[start:start + 256].astype(np.float32))
+                x[start:start + rows].astype(np.float32))
             feats.append(f)
             logits.append(model.head.infer(f))
         feats = np.concatenate(feats).astype(np.float64)
@@ -202,15 +305,16 @@ class TestModels:
     def test_predict_methods_match_batched_eval_forward(self, named_model,
                                                         n):
         # The reference is the float64 eval-mode forward over the same
-        # 256-row batches the predict methods use; they compute in
-        # float32, so they match it within FLOAT32_RTOL.
+        # batches the predict methods use; they compute in float32, so
+        # they match it within FLOAT32_RTOL.
         name, model = named_model
         x = _rows(name, n)
+        rows = INFER_BATCH_ROWS
         model.eval()
         try:
             feats, logits = [], []
-            for start in range(0, n, 256):
-                f = model.forward_features(Tensor(x[start:start + 256]))
+            for start in range(0, n, rows):
+                f = model.forward_features(Tensor(x[start:start + rows]))
                 feats.append(f.data)
                 logits.append(model.head(f).data)
         finally:
@@ -258,3 +362,21 @@ class TestModels:
         assert probs.shape == (0, model.num_classes)
         assert feats.shape == (0, model.feature_dim)
         assert model.predict(x).shape == (0,)
+
+
+#: Every helper that batches a ``predict_*`` call.  An owner and its
+#: spawn workers reproduce each other's views only while all of them
+#: batch alike.
+BATCHED_INFERENCE = (
+    Classifier.predict_logits, Classifier.predict_proba, Classifier.predict,
+    Classifier.features, Classifier.predict_view, compute_view,
+    estimate_conditional, evaluate_accuracy, evaluate_loss,
+    per_sample_losses, FeatureCache.view,
+)
+
+
+@pytest.mark.parametrize("fn", BATCHED_INFERENCE,
+                         ids=lambda fn: fn.__qualname__)
+def test_inference_batch_default_is_the_one_constant(fn):
+    default = inspect.signature(fn).parameters["batch_size"].default
+    assert default == INFER_BATCH_ROWS == 1024

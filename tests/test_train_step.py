@@ -26,7 +26,7 @@ from repro.nn.layers import (BatchNorm1d, Conv2d, Dropout, Flatten,
 from repro.nn.losses import (cross_entropy, cross_entropy_array,
                              soft_cross_entropy, soft_cross_entropy_array)
 from repro.nn.mixup import mixup_batch
-from repro.nn.models import build_model
+from repro.nn.models import INFER_BATCH_ROWS, build_model
 from repro.nn.optim import SGD
 from repro.nn.serialize import clone_module
 from repro.nn.tensor import Tensor
@@ -305,24 +305,30 @@ class TestLosses:
 
     def test_evaluate_loss_matches_graph_sum(self):
         model, _, features = _model_pair("tinyresnet")
-        dataset = _dataset(300, features)
+        # Two loss chunks, as with any dataset past one batch.
+        n = INFER_BATCH_ROWS + 44
+        dataset = _dataset(n, features)
         logits = model.predict_logits(dataset.x)
+        rows = INFER_BATCH_ROWS
         want = 0.0
-        for start in range(0, 300, 256):
-            want += cross_entropy(Tensor(logits[start:start + 256]),
-                                  dataset.y[start:start + 256],
+        for start in range(0, n, rows):
+            want += cross_entropy(Tensor(logits[start:start + rows]),
+                                  dataset.y[start:start + rows],
                                   reduction="sum").item()
-        assert evaluate_loss(model, dataset) == want / 300
+        assert evaluate_loss(model, dataset) == want / n
 
     def test_per_sample_losses_match_graph_none(self):
         model, _, features = _model_pair("tinyresnet")
-        dataset = _dataset(300, features)
+        # Two loss chunks, as with any dataset past one batch.
+        n = INFER_BATCH_ROWS + 44
+        dataset = _dataset(n, features)
         logits = model.predict_logits(dataset.x)
+        rows = INFER_BATCH_ROWS
         want = np.concatenate([
-            cross_entropy(Tensor(logits[start:start + 256]),
-                          dataset.y[start:start + 256],
+            cross_entropy(Tensor(logits[start:start + rows]),
+                          dataset.y[start:start + rows],
                           reduction="none").data
-            for start in range(0, 300, 256)])
+            for start in range(0, n, rows)])
         _assert_same_bytes(per_sample_losses(model, dataset), want)
 
 
