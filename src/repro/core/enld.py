@@ -40,12 +40,6 @@ SwapState = Tuple[Optional[Classifier], Optional[np.ndarray],
                   Optional[LabeledDataset], Optional[LabeledDataset],
                   Set[int], int]
 
-#: By-reference detection inputs captured by :meth:`ENLD.detection_snapshot`
-#: — ``(θ, I_c, P̃, M/M̂ of I_c under θ)``.  Everything
-#: :meth:`ENLD.detect_stateless` reads.
-DetectionSnapshot = Tuple[Classifier, LabeledDataset, np.ndarray, ModelView]
-
-
 class NotInitializedError(RuntimeError):
     """Raised when detection is requested before :meth:`ENLD.initialize`."""
 
@@ -134,8 +128,7 @@ class ENLD:
         self._require_initialized()
         watch = Stopwatch()
         with watch, use_tracer(self.tracer), trace_span("detect"):
-            result = self._run_detector(self.detection_snapshot(),
-                                        dataset, self._rng)
+            result = self._run_detector(dataset, self._rng)
         result.process_seconds = watch.seconds
         self._clean_candidate_positions.update(
             result.inventory_clean_positions.tolist())
@@ -145,59 +138,34 @@ class ENLD:
         return result
 
     # ------------------------------------------------------------------
-    # Concurrent detection (repro.datalake.ingest)
+    # Stateless detection (repro.datalake.ingest)
     # ------------------------------------------------------------------
-    def detection_snapshot(self) -> DetectionSnapshot:
-        """By-reference capture of the inputs :meth:`detect` reads.
-
-        Detection never mutates ``θ``, ``I_c``, ``P̃`` or the ``I_c``
-        view in place (a model refresh *replaces* the references), so
-        the snapshot stays valid across a concurrent hot-swap — workers
-        holding it keep detecting under the epoch they were dispatched
-        with while the owner decides whether that verdict is still
-        current (see :mod:`repro.datalake.ingest`).  It is O(1) except
-        for the first capture under a model version, which runs the one
-        forward pass over ``I_c`` that every arrival then slices.
-        """
-        self._require_initialized()
-        assert self.cond_prob is not None
-        model, candidates, view = self._candidate_view()
-        return model, candidates, self.cond_prob, view
-
     def detect_stateless(self, dataset: LabeledDataset,
-                         rng: np.random.Generator,
-                         snapshot: Optional[DetectionSnapshot] = None
-                         ) -> DetectionResult:
+                         rng: np.random.Generator) -> DetectionResult:
         """Pure detection: same algorithm as :meth:`detect`, no state.
 
-        The verdict is a function of ``(snapshot, dataset, rng)`` only —
-        nothing on ``self`` is read besides the config-derived detector,
-        and nothing is written, so concurrent calls from worker threads
-        are safe and replay bit-identically for a fixed rng stream
-        regardless of interleaving.  The snapshot carries the ``I_c``
-        view under its θ, and every arrival's ``I'`` view is rows of
-        it, so this path and :meth:`detect` slice the same bytes.
-        Without a snapshot, one is captured here, which fills the view
-        on its first use under a version: pass the owner's snapshot
-        from worker threads.  Feed the result back through
-        :meth:`commit_detection` (owner thread) to take effect.
+        The verdict is a function of ``(θ, I_c, P̃, dataset, rng)`` only
+        — the caller supplies the RNG and nothing is written, so a
+        verdict replays bit-identically for a fixed rng stream however
+        arrivals are ordered.  Like :meth:`detect`, it slices every
+        arrival's ``I'`` view from the per-version view of ``I_c`` under
+        θ, filling it on first use under a version.  Feed the result
+        back through :meth:`commit_detection` to take effect.
         """
         self._require_initialized()
-        if snapshot is None:
-            snapshot = self.detection_snapshot()
         watch = Stopwatch()
         with watch, use_tracer(self.tracer), trace_span("detect"):
-            result = self._run_detector(snapshot, dataset, rng)
+            result = self._run_detector(dataset, rng)
         result.process_seconds = watch.seconds
         return result
 
-    def _run_detector(self, snapshot: DetectionSnapshot,
-                      dataset: LabeledDataset,
+    def _run_detector(self, dataset: LabeledDataset,
                       rng: np.random.Generator) -> DetectionResult:
-        model, candidates, cond_prob, candidates_view = snapshot
+        assert self.cond_prob is not None
+        model, candidates, view = self._candidate_view()
         return self._detector.detect(model, dataset, candidates,
-                                     cond_prob, rng,
-                                     candidates_view=candidates_view)
+                                     self.cond_prob, rng,
+                                     candidates_view=view)
 
     def commit_detection(self, result: DetectionResult) -> DetectionResult:
         """Fold a :meth:`detect_stateless` verdict into platform state.

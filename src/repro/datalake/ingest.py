@@ -1,45 +1,45 @@
-"""Concurrent submission pipeline over the platform (DESIGN.md §14).
+"""Multi-stream submission pipeline over the platform (DESIGN.md §14).
 
 :class:`IngestPipeline` turns the one-at-a-time
 :meth:`~repro.datalake.platform.NoisyLabelPlatform.submit` loop into a
 storm-capable ingestion service: ``N`` arrival streams are fetched from
-the lake concurrently, detection (the pure, CPU/BLAS-heavy middle of a
-submission) fans out to a worker pool, while everything that owns
-platform state — admission control, quarantine, the catalog, the
-journal, clean-pool accumulation and the update scheduler — stays
-serialized on the single **owner thread** running :meth:`run`.
+the lake concurrently, and in ``mode="process"`` detection (the pure,
+CPU/BLAS-heavy middle of a submission) fans out to a pool of spawn
+workers, while everything that owns platform state — admission
+control, quarantine, the catalog, the journal, clean-pool accumulation
+and the update scheduler — stays serialized on the single **owner
+thread** running :meth:`run`.
 
 Design (mirrors the REP701–705 discipline the updater established):
 
 - **One owner thread, one event queue.**  Producer threads (one per
-  stream) fetch arrivals and post them; worker threads post finished
-  detections.  The owner is the only consumer and the only code that
-  touches the platform, so no platform attribute is ever mutated off
-  the owner thread.
+  stream) fetch arrivals and post them; the pool's completion callbacks
+  post finished detections.  The owner is the only consumer and the
+  only code that touches the platform, so no platform attribute is
+  ever mutated off the owner thread.
 - **Backpressure by admission ticket.**  Producers acquire a slot from
-  a :class:`threading.BoundedSemaphore` of ``queue_capacity`` before
+  a :class:`threading.Semaphore` of ``queue_capacity`` before
   posting an arrival; the owner releases the slot when the submission
   is fully committed (or quarantined).  In-flight submissions are
   therefore hard-capped at ``queue_capacity`` — a slow detector stalls
   the fetchers instead of ballooning memory.
-- **Deterministic verdicts.**  Workers run
-  :meth:`~repro.core.enld.ENLD.detect_stateless` with a *derived* RNG
-  keyed on ``(config seed, dataset name, attempt)`` — never a shared
-  stream — so a verdict is a pure function of (model, arrival, seed)
-  and identical no matter how streams interleave.  ``mode="serial"``
-  runs the exact same derivation inline, which is the sequential
-  baseline the concurrency tests and the ``lake_churn`` benchmark
-  workload compare against, bit for bit.
-- **Epoch guard.**  Each dispatched task pins the model epoch (the
-  catalog version count) and a by-reference snapshot of
-  ``(θ, I_c, P̃)`` plus the per-version view of ``I_c`` under ``θ``;
-  a process-mode task pins instead the epoch whose state file was
-  shipped at the start of the run.  Commits happen strictly in admission order; if a model swap landed
-  after a task was dispatched, the owner re-detects that arrival
-  inline under the current model before committing, so
-  verdict-to-version attribution matches the sequential semantics.
+- **Deterministic verdicts.**  Every detection runs with a *derived*
+  RNG keyed on ``(config seed, dataset name, attempt)`` — never a
+  shared stream — so a verdict is a pure function of (model, arrival,
+  seed) and identical no matter how streams interleave.
+  ``mode="serial"`` (the default) runs the same derivation inline
+  through :meth:`~repro.core.enld.ENLD.detect_stateless`; it is the
+  sequential baseline the concurrency tests and the ``lake_churn``
+  benchmark workload compare against, bit for bit.
+- **Epoch guard.**  Spawn workers detect under the model epoch (the
+  catalog version count) whose state file was shipped at the start of
+  the run, and every task carries that epoch.  Commits happen strictly
+  in admission order; if a model swap landed since, the owner
+  re-detects that arrival inline under the current model before
+  committing, so verdict-to-version attribution matches the sequential
+  semantics.
 
-Worker functions are module-level, capture the ambient tracer at spawn
+Producer loops are module-level, capture the ambient tracer at spawn
 and re-install it (ContextVars do not cross threads), and deliberately
 do **not** inherit the fault-injection span hook — chaos plans target
 the owner-side stages, matching the updater's policy.
@@ -62,7 +62,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..core.detector import DetectionResult
-from ..core.enld import ENLD, DetectionSnapshot
+from ..core.enld import ENLD
 from ..core.samplesets import ModelView, compute_view
 from ..nn.data import LabeledDataset
 from ..nn.models import Classifier
@@ -75,9 +75,9 @@ from .resilience import (FailureEvent, RetryPolicy, coarse_fallback_detect,
                          describe_failure)
 from .stream import ArrivalStream
 
-#: Worker-pool flavours: ``serial`` (inline on the owner thread — the
-#: sequential baseline), ``thread`` (default) and ``process``.
-INGEST_MODES = ("serial", "thread", "process")
+#: Ingestion modes: ``serial`` (default; detection inline on the owner
+#: thread — the sequential baseline) and ``process`` (a spawn pool).
+INGEST_MODES = ("serial", "process")
 
 
 #: A lake-fetch model: materialise one arrival's payload (the I/O bound
@@ -104,18 +104,6 @@ def arrival_rng(seed: int, name: str, attempt: int = 0
 
 
 @dataclass
-class _Task:
-    """One admitted arrival dispatched to the detection pool."""
-
-    seq: int
-    dataset: LabeledDataset
-    #: ``None`` for process-mode tasks: spawn workers detect under the
-    #: state file shipped for ``epoch``.
-    snapshot: Optional[DetectionSnapshot]
-    epoch: int
-
-
-@dataclass
 class _Done:
     """A finished detection travelling back to the owner thread."""
 
@@ -129,8 +117,8 @@ class _Done:
     error: Optional[str] = None
 
 
-#: Owner-bound events: arrivals from producers, completions from
-#: workers, stream/worker exits.
+#: Owner-bound events: arrivals and stream exits from producers,
+#: completions from the pool.
 _Event = Tuple[str, Union[LabeledDataset, _Done, Exception, None]]
 
 
@@ -173,16 +161,14 @@ def retry_detect(
 
 
 def detect_resilient_stateless(
-    enld: ENLD, snapshot: DetectionSnapshot, dataset: LabeledDataset,
-    seed: int, retry: RetryPolicy, fallback: bool,
+    enld: ENLD, dataset: LabeledDataset, seed: int, retry: RetryPolicy,
+    fallback: bool,
 ) -> Tuple[DetectionResult, int, List[FailureEvent], bool]:
-    """:func:`retry_detect` over :meth:`ENLD.detect_stateless`."""
-
-    def run(d: LabeledDataset, rng: np.random.Generator
-            ) -> DetectionResult:
-        return enld.detect_stateless(d, rng, snapshot=snapshot)
-
-    return retry_detect(run, snapshot[0], dataset, seed, retry, fallback)
+    """:func:`retry_detect` over :meth:`ENLD.detect_stateless`, degrading
+    under ``enld.model`` (owner thread only)."""
+    assert enld.model is not None
+    return retry_detect(enld.detect_stateless, enld.model, dataset, seed,
+                        retry, fallback)
 
 
 def _producer_loop(stream: ArrivalStream, fetch: Optional[FetchFn],
@@ -216,41 +202,6 @@ def _producer_loop(stream: ArrivalStream, fetch: Optional[FetchFn],
             events.put(("stream_error", exc))
         else:
             events.put(("stream_done", None))
-
-
-def _worker_loop(tasks: "queue.Queue[Optional[_Task]]",
-                 events: "queue.Queue[_Event]",
-                 enld: ENLD, seed: int, retry: RetryPolicy,
-                 fallback: bool,
-                 tracer: Union[Tracer, NullTracer]) -> None:
-    """Detection worker: pure compute, no platform state.
-
-    Only ever touches the task payload and the re-installed ambient
-    tracer; results travel back to the owner as immutable
-    :class:`_Done` envelopes.  The task's snapshot already holds the
-    ``I_c`` view under its θ — the owner filled it once per model
-    version — so each arrival's ``I'`` view is a slice of it and no
-    worker runs θ over the candidate pool.
-    """
-    with use_tracer(tracer):
-        while True:
-            task = tasks.get()
-            if task is None:
-                break
-            try:
-                assert task.snapshot is not None
-                result, retries, failures, degraded = \
-                    detect_resilient_stateless(
-                        enld, task.snapshot, task.dataset, seed, retry,
-                        fallback)
-                done = _Done(seq=task.seq, dataset=task.dataset,
-                             epoch=task.epoch, result=result,
-                             retries=retries, failures=failures,
-                             degraded=degraded)
-            except Exception as exc:  # noqa: BLE001 — owner re-raises
-                done = _Done(seq=task.seq, dataset=task.dataset,
-                             epoch=task.epoch, error=repr(exc))
-            events.put(("done", done))
 
 
 # -- process mode ------------------------------------------------------
@@ -381,15 +332,17 @@ class _SpawnPool:
 
 @dataclass(frozen=True)
 class IngestConfig:
-    """Worker-pool shape of one ingestion run.
+    """Shape of one ingestion run.
 
+    ``mode="serial"`` detects inline on the owner thread;
+    ``mode="process"`` runs detection on ``workers`` spawn processes.
     ``queue_capacity`` caps *in-flight* submissions (fetched but not
     yet committed); producers block once it is reached.  ``absorb``
     additionally grows the platform's sharded lake archive with each
     admitted arrival's voted-clean rows (a no-op without one).
     """
 
-    mode: str = "thread"
+    mode: str = "serial"
     workers: int = 2
     queue_capacity: int = 8
     absorb: bool = False
@@ -427,7 +380,7 @@ class StormReport:
 
 
 class IngestPipeline:
-    """Concurrent (or baseline-serial) multi-stream ingestion.
+    """Multi-stream ingestion, serial or over a spawn pool.
 
     Parameters
     ----------
@@ -435,7 +388,7 @@ class IngestPipeline:
         The live platform; all of its state is owned by the thread
         calling :meth:`run` for the duration of the storm.
     config:
-        Pool shape (:class:`IngestConfig`); default two threads.
+        Run shape (:class:`IngestConfig`); default serial.
     fetch:
         Optional lake-fetch callable applied to every arrival on the
         producer threads — model I/O latency here or plug in a real
@@ -504,8 +457,9 @@ class IngestPipeline:
 
         ``mode="serial"`` processes the streams round-robin on the
         calling thread (the sequential baseline — identical RNG
-        derivation, zero concurrency); the other modes fan detection
-        out while this thread serializes platform state.
+        derivation, zero concurrency); ``mode="process"`` fans
+        detection out to spawn workers while this thread serializes
+        platform state.
 
         Dataset names must be unique across the storm (reports and the
         derived detection RNG are keyed by name); a repeat raises
@@ -534,8 +488,7 @@ class IngestPipeline:
             incr("ingest.epoch_redetect")
             result, retries, failures, degraded = \
                 detect_resilient_stateless(
-                    platform.enld, platform.enld.detection_snapshot(),
-                    done.dataset, platform.enld.config.seed,
+                    platform.enld, done.dataset, platform.enld.config.seed,
                     platform.retry, platform.fallback)
             done = _Done(seq=done.seq, dataset=done.dataset,
                          epoch=len(platform.catalog.versions),
@@ -613,8 +566,7 @@ class IngestPipeline:
                         continue
                     result, retries, failures, degraded = \
                         detect_resilient_stateless(
-                            platform.enld,
-                            platform.enld.detection_snapshot(), dataset,
+                            platform.enld, dataset,
                             platform.enld.config.seed, platform.retry,
                             platform.fallback)
                     done = _Done(seq=0, dataset=dataset,
@@ -629,14 +581,14 @@ class IngestPipeline:
     # ------------------------------------------------------------------
     def _run_concurrent(self, streams: Sequence[ArrivalStream]
                         ) -> StormReport:
+        """Fetch on producer threads, detect on the spawn pool, commit
+        here in admission order."""
         cfg = self.config
         platform = self.platform
         events: "queue.Queue[_Event]" = queue.Queue()
-        tasks: "queue.Queue[Optional[_Task]]" = queue.Queue()
         slots = threading.Semaphore(cfg.queue_capacity)
         stop = threading.Event()
         tracer = current_tracer()
-        seed = platform.enld.config.seed
 
         producers = [
             threading.Thread(
@@ -644,24 +596,12 @@ class IngestPipeline:
                 args=(stream, self.fetch, slots, stop, events, tracer),
                 name=f"ingest-producer-{i}", daemon=True)
             for i, stream in enumerate(streams)]
-        pool_size = cfg.workers if cfg.mode == "thread" else 0
-        workers = [
-            threading.Thread(
-                target=_worker_loop,
-                args=(tasks, events, platform.enld, seed, platform.retry,
-                      platform.fallback, tracer),
-                name=f"ingest-worker-{i}", daemon=True)
-            for i in range(pool_size)]
-        pool: Optional[_SpawnPool] = None
-        pool_epoch: Optional[int] = None
-        if cfg.mode == "process":
-            # Spawned workers detect under the version shipped here for
-            # the whole storm, so every process task carries this epoch
-            # — not the dispatch-time one — and a later hot-swap forces
-            # the owner's re-detection.
-            pool = self._spawn_pool()
-            pool_epoch = len(platform.catalog.versions)
-            pool.ship(pool_epoch, platform.enld)
+        # Spawned workers detect under the version shipped here for the
+        # whole storm, so every task carries this epoch — not the
+        # dispatch-time one — and a later hot-swap forces the owner's
+        # re-detection.
+        pool = self._spawn_pool()
+        pool.ship(len(platform.catalog.versions), platform.enld)
 
         reports: Dict[str, SubmissionReport] = {}
         ready: Dict[int, _Done] = {}
@@ -676,7 +616,7 @@ class IngestPipeline:
         streams_live = len(streams)
         watch = Stopwatch()
         with watch:
-            for thread in (*producers, *workers):
+            for thread in producers:
                 thread.start()
             try:
                 while streams_live or depth:
@@ -701,21 +641,12 @@ class IngestPipeline:
                             depth -= 1
                             slots.release()
                             continue
-                        task = _Task(
-                            seq=next_seq, dataset=payload,
-                            snapshot=(platform.enld.detection_snapshot()
-                                      if pool is None else None),
-                            epoch=(len(platform.catalog.versions)
-                                   if pool_epoch is None
-                                   else pool_epoch))
+                        seq = next_seq
                         next_seq += 1
                         inflight += 1
                         max_inflight = max(max_inflight, inflight)
                         observe("ingest.inflight_workers", inflight)
-                        if pool is not None:
-                            self._dispatch_process(pool, task, events)
-                        else:
-                            tasks.put(task)
+                        self._dispatch_process(pool, seq, payload, events)
                         continue
                     assert kind == "done" and isinstance(payload, _Done)
                     inflight -= 1
@@ -734,43 +665,43 @@ class IngestPipeline:
                 raise
             finally:
                 stop.set()
-                for _ in workers:
-                    tasks.put(None)
-                for thread in (*producers, *workers):
+                for thread in producers:
                     thread.join()
         return self._finish(reports, samples, watch.seconds,
                             max_depth=max_depth,
                             max_inflight=max_inflight)
 
     @staticmethod
-    def _dispatch_process(pool: _SpawnPool, task: _Task,
+    def _dispatch_process(pool: _SpawnPool, seq: int,
+                          dataset: LabeledDataset,
                           events: "queue.Queue[_Event]") -> None:
-        """Ship one task to the process pool; completions re-enter the
-        owner's event queue from the executor's collector thread, and
-        so does a refused submission (a pool already broken)."""
+        """Ship one arrival to the process pool under the shipped epoch;
+        completions re-enter the owner's event queue from the executor's
+        collector thread, and so does a refused submission (a pool
+        already broken)."""
         from concurrent.futures import Future
+        assert pool.epoch is not None
+        epoch = pool.epoch
 
         def _deliver(fut: "Future[Tuple[DetectionResult, int, List[FailureEvent], bool]]") -> None:
             if fut.cancelled():
                 return
             error = fut.exception()
             if error is not None:
-                events.put(("done", _Done(
-                    seq=task.seq, dataset=task.dataset, epoch=task.epoch,
-                    error=repr(error))))
+                events.put(("done", _Done(seq=seq, dataset=dataset,
+                                          epoch=epoch, error=repr(error))))
                 return
             result, retries, failures, degraded = fut.result()
             events.put(("done", _Done(
-                seq=task.seq, dataset=task.dataset, epoch=task.epoch,
-                result=result, retries=retries, failures=failures,
-                degraded=degraded)))
+                seq=seq, dataset=dataset, epoch=epoch, result=result,
+                retries=retries, failures=failures, degraded=degraded)))
 
         try:
-            future = pool.executor.submit(_process_detect, task.dataset,
-                                          task.epoch, pool.path)
+            future = pool.executor.submit(_process_detect, dataset, epoch,
+                                          pool.path)
         except RuntimeError as exc:  # BrokenProcessPool; owner raises
-            events.put(("done", _Done(seq=task.seq, dataset=task.dataset,
-                                      epoch=task.epoch, error=repr(exc))))
+            events.put(("done", _Done(seq=seq, dataset=dataset,
+                                      epoch=epoch, error=repr(exc))))
             return
         future.add_done_callback(_deliver)
 

@@ -26,9 +26,9 @@ Returned arrays are marked read-only: they are shared across lookups.
 Keys are *exact* array content: a subset of a cached input hashes as
 its own entry.  ENLD does not look subsets up here, though.  It asks
 the cache once per model version for the view of the whole ``I_c``
-(:meth:`repro.core.enld.ENLD.detection_snapshot`), and every arrival
-slices its ``I'`` rows out of that view — the paper's once-per-model
-inventory features (§IV-D).  Slicing is a deliberate choice, not an
+(``ENLD._candidate_view``), and every arrival slices its ``I'`` rows
+out of that view — the paper's once-per-model inventory features
+(§IV-D).  Slicing is a deliberate choice, not an
 identity: BLAS gemm blocking varies with the row count, so rows of a
 full-set forward may differ from a forward over the subset alone in
 the last few ulps.  Measured on the three benchmark workloads, the

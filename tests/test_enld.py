@@ -218,7 +218,7 @@ class TestInventoryView:
         monkeypatch.setattr(FineGrainedDetector, "_select", spy)
         enld = ENLD(make_config()).initialize(world["inventory"])
         for arrival in label_set_arrivals(world):
-            _, candidates, _, view = enld.detection_snapshot()
+            _, candidates, view = enld._candidate_view()
             assert len(view) == len(candidates)
             positions = np.nonzero(np.isin(candidates.y,
                                            np.unique(arrival.y)))[0]
@@ -233,4 +233,4 @@ class TestInventoryView:
                         == view.probs[positions].tobytes())
                 assert (initial.features.tobytes()
                         == view.features[positions].tobytes())
-            assert enld.detection_snapshot()[3] is view
+            assert enld._candidate_view()[2] is view

@@ -42,6 +42,18 @@ def world():
     return {"inventory": inventory, "stream": stream, "config": config}
 
 
+@pytest.fixture(autouse=True)
+def no_leftover_workers():
+    """Every test reaps the spawn workers it started: close each
+    process-mode pipeline, e.g. with ``with IngestPipeline(...)``."""
+    yield
+    left = multiprocessing.active_children()
+    for proc in left:
+        proc.kill()
+        proc.join()
+    assert left == [], f"worker processes outlived the test: {left}"
+
+
 def make_platform(world, **kwargs):
     kwargs.setdefault("retry", NO_WAIT_RETRY)
     return NoisyLabelPlatform(world["inventory"], config=world["config"],
@@ -143,44 +155,32 @@ class TestRetryDetect:
 # ----------------------------------------------------------------------
 class TestIngestConfig:
     def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            IngestConfig(mode="fork")
+        for mode in ("fork", "thread"):
+            with pytest.raises(ValueError):
+                IngestConfig(mode=mode)
         with pytest.raises(ValueError):
             IngestConfig(workers=0)
         with pytest.raises(ValueError):
             IngestConfig(queue_capacity=0)
+
+    def test_defaults_to_serial(self):
+        assert IngestConfig().mode == "serial"
 
 
 # ----------------------------------------------------------------------
 # Storm: concurrent == sequential
 # ----------------------------------------------------------------------
 class TestStormParity:
-    def test_thread_storm_matches_serial_bit_for_bit(self, world):
-        streams = world["stream"].split(3)
-        serial = IngestPipeline(
-            make_platform(world),
-            IngestConfig(mode="serial")).run(streams)
-        concurrent = IngestPipeline(
-            make_platform(world),
-            IngestConfig(mode="thread", workers=2,
-                         queue_capacity=4)).run(streams)
-        assert serial.datasets == concurrent.datasets == 6
-        assert serial.samples == concurrent.samples
-        assert serial.quarantined == concurrent.quarantined == 0
-        serial_prints = _fingerprints(serial)
-        mismatch = [n for n, p in _fingerprints(concurrent).items()
-                    if serial_prints[n] != p]
-        assert mismatch == []
-
     def test_platform_state_matches_serial(self, world):
         streams = world["stream"].split(2)
         serial_platform = make_platform(world)
         IngestPipeline(serial_platform,
                        IngestConfig(mode="serial")).run(streams)
         storm_platform = make_platform(world)
-        IngestPipeline(storm_platform,
-                       IngestConfig(mode="thread", workers=3,
-                                    queue_capacity=3)).run(streams)
+        with IngestPipeline(storm_platform,
+                            IngestConfig(mode="process", workers=2,
+                                         queue_capacity=3)) as pipeline:
+            pipeline.run(streams)
         assert (storm_platform.submissions
                 == serial_platform.submissions == 6)
         assert np.array_equal(
@@ -193,10 +193,10 @@ class TestStormParity:
 
     def test_backpressure_caps_queue_depth(self, world):
         streams = world["stream"].split(3)
-        report = IngestPipeline(
-            make_platform(world),
-            IngestConfig(mode="thread", workers=2,
-                         queue_capacity=2)).run(streams)
+        with IngestPipeline(make_platform(world),
+                            IngestConfig(mode="process", workers=2,
+                                         queue_capacity=2)) as pipeline:
+            report = pipeline.run(streams)
         assert report.datasets == 6
         assert 1 <= report.max_queue_depth <= 2
         assert report.max_inflight <= 2
@@ -204,14 +204,14 @@ class TestStormParity:
         assert report.datasets_per_second > 0
         assert report.samples_per_second > 0
 
-    def test_gauges_and_counters_emitted(self, world):
+    def test_gauges_and_counters_emitted(self, world, inline_pool):
         tracer = Tracer()
-        with use_tracer(tracer):
-            IngestPipeline(
+        with use_tracer(tracer), IngestPipeline(
                 make_platform(world),
-                IngestConfig(mode="thread", workers=2,
-                             queue_capacity=4)
-            ).run(world["stream"].split(2))
+                IngestConfig(mode="process", workers=2,
+                             queue_capacity=4),
+                fetch=lambda dataset: dataset) as pipeline:
+            pipeline.run(world["stream"].split(2))
         snapshot = tracer.to_dict()
         assert snapshot["counters"]["ingest.datasets"] == 6
         assert snapshot["counters"]["ingest.samples"] > 0
@@ -219,23 +219,25 @@ class TestStormParity:
         assert "ingest.inflight_workers" in snapshot["metrics"]
         work = tracer.stage_work()
         assert any(path.split("/")[0] == "ingest_run" for path in work)
-        assert any("detect" in path for path in work)
+        # Producer threads re-install the run's tracer for their fetches.
+        assert work["lake_fetch"]["calls"] == 6
 
 
 # ----------------------------------------------------------------------
 # Quarantine + absorption under concurrency
 # ----------------------------------------------------------------------
 class TestStormResilience:
-    def test_quarantine_under_concurrency(self, world):
+    def test_quarantine_under_concurrency(self, world, inline_pool):
         arrivals = world["stream"].arrivals()
         bad_x = np.full_like(arrivals[1].x, np.nan)
         bad = LabeledDataset(bad_x, arrivals[1].y, ids=arrivals[1].ids,
                              name="storm/poison")
         streams = [[arrivals[0], bad], [arrivals[2], arrivals[3]]]
         platform = make_platform(world)
-        report = IngestPipeline(
-            platform, IngestConfig(mode="thread", workers=2,
-                                   queue_capacity=2)).run(streams)
+        with IngestPipeline(platform,
+                            IngestConfig(mode="process", workers=2,
+                                         queue_capacity=2)) as pipeline:
+            report = pipeline.run(streams)
         assert report.datasets == 4
         assert report.quarantined == 1
         assert report.reports["storm/poison"].quarantined
@@ -243,34 +245,37 @@ class TestStormResilience:
         assert all(report.reports[a.name].ok
                    for a in (arrivals[0], arrivals[2], arrivals[3]))
 
-    def test_absorb_grows_sharded_archive(self, world):
+    def test_absorb_grows_sharded_archive(self, world, inline_pool):
         store = ShardedInventory.from_dataset(world["inventory"],
                                               num_classes=6)
         platform = NoisyLabelPlatform(store, config=world["config"],
                                       retry=NO_WAIT_RETRY)
-        report = IngestPipeline(
-            platform,
-            IngestConfig(mode="thread", workers=2, queue_capacity=4,
-                         absorb=True)).run(world["stream"].split(2))
+        with IngestPipeline(platform,
+                            IngestConfig(mode="process", workers=2,
+                                         queue_capacity=4, absorb=True)
+                            ) as pipeline:
+            report = pipeline.run(world["stream"].split(2))
         clean = sum(r.result.num_clean for r in report.reports.values())
         assert clean > 0
         assert len(store) == len(world["inventory"]) + clean
 
-    def test_duplicate_names_raise_in_every_mode(self, world):
+    def test_duplicate_names_raise_in_every_mode(self, world,
+                                                 inline_pool):
         """Reports and detection RNG streams are keyed by dataset
         name; a repeated name must fail loudly instead of silently
         overwriting the first arrival's report."""
         arrivals = world["stream"].arrivals()
         dup = [arrivals[0], arrivals[0]]
         for config in (IngestConfig(mode="serial"),
-                       IngestConfig(mode="thread", workers=2,
+                       IngestConfig(mode="process", workers=2,
                                     queue_capacity=2)):
             platform = make_platform(world, admission=False)
-            with pytest.raises(ValueError,
-                               match="duplicate dataset name"):
-                IngestPipeline(platform, config).run([dup])
+            with IngestPipeline(platform, config) as pipeline, \
+                    pytest.raises(ValueError,
+                                  match="duplicate dataset name"):
+                pipeline.run([dup])
 
-    @pytest.mark.parametrize("mode", ["thread", "process"])
+    @pytest.mark.parametrize("mode", ["serial", "process"])
     def test_fetch_error_raises_instead_of_hanging(self, world, mode):
         """A producer whose fetch raises must still report to the
         owner: ``run`` raises the error and closes the pool."""
@@ -298,39 +303,6 @@ class TestStormResilience:
             assert pipeline._pool is None
         finally:
             pipeline.close()
-
-    def test_epoch_guard_redetects_after_hot_swap(self, world):
-        """A synchronous scheduler swap mid-storm must not let verdicts
-        computed under the old model reach the catalog.
-
-        One producer stream keeps the admission order deterministic
-        (multiple producers race, so the swap would land after a
-        different arrival pair than in the serial arm); workers still
-        run ahead of the commits, which is what forces the re-judge.
-        """
-        streams = [world["stream"]]
-        serial_platform = make_platform(
-            world, scheduler=EveryNArrivals(2))
-        serial = IngestPipeline(
-            serial_platform, IngestConfig(mode="serial")).run(streams)
-        storm_platform = make_platform(
-            world, scheduler=EveryNArrivals(2))
-        tracer = Tracer()
-        with use_tracer(tracer):
-            storm = IngestPipeline(
-                storm_platform,
-                IngestConfig(mode="thread", workers=2,
-                             queue_capacity=4)).run(streams)
-        assert (len(storm_platform.catalog.versions)
-                == len(serial_platform.catalog.versions) > 1)
-        serial_prints = _fingerprints(serial)
-        mismatch = [n for n, p in _fingerprints(storm).items()
-                    if serial_prints[n] != p]
-        assert mismatch == []
-        # With capacity 4 and swaps every 2 commits, some in-flight
-        # detection was dispatched under a stale epoch and re-judged.
-        counters = tracer.to_dict()["counters"]
-        assert counters.get("ingest.epoch_redetect", 0) >= 1
 
 
 # ----------------------------------------------------------------------
@@ -366,16 +338,21 @@ class _InlinePool:
         _PROCESS_STATE.clear()
 
 
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Run process-mode tasks inline, for owner-side logic."""
+    import concurrent.futures
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _InlinePool)
+
+
 class TestProcessMode:
     def test_process_epoch_guard_pins_pool_epoch(self, world,
-                                                 monkeypatch):
+                                                 inline_pool):
         """Pool workers detect under the version shipped at the start of
         the run, so tasks must carry *that* epoch: a mid-storm hot swap
         then forces the owner's re-detection instead of letting a
         stale-model verdict commit under the new version."""
-        import concurrent.futures
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            _InlinePool)
         streams = [world["stream"]]
         serial = IngestPipeline(
             make_platform(world, scheduler=EveryNArrivals(2)),
@@ -383,11 +360,11 @@ class TestProcessMode:
         storm_platform = make_platform(world,
                                        scheduler=EveryNArrivals(2))
         tracer = Tracer()
-        with use_tracer(tracer):
-            storm = IngestPipeline(
+        with use_tracer(tracer), IngestPipeline(
                 storm_platform,
                 IngestConfig(mode="process", workers=1,
-                             queue_capacity=4)).run(streams)
+                             queue_capacity=4)) as pipeline:
+            storm = pipeline.run(streams)
         assert len(storm_platform.catalog.versions) > 1
         serial_prints = _fingerprints(serial)
         mismatch = [n for n, p in _fingerprints(storm).items()
@@ -403,10 +380,10 @@ class TestProcessMode:
         serial = IngestPipeline(
             make_platform(world),
             IngestConfig(mode="serial")).run([arrivals])
-        storm = IngestPipeline(
-            make_platform(world),
-            IngestConfig(mode="process", workers=1,
-                         queue_capacity=2)).run([arrivals])
+        with IngestPipeline(make_platform(world),
+                            IngestConfig(mode="process", workers=1,
+                                         queue_capacity=2)) as pipeline:
+            storm = pipeline.run([arrivals])
         assert storm.datasets == serial.datasets == 2
         serial_prints = _fingerprints(serial)
         mismatch = [n for n, p in _fingerprints(storm).items()
@@ -421,11 +398,12 @@ class TestProcessMode:
         serial = IngestPipeline(
             make_platform(world),
             IngestConfig(mode="serial")).run(streams)
-        storm = IngestPipeline(
-            make_platform(world),
-            IngestConfig(mode="process", workers=2,
-                         queue_capacity=4)).run(streams)
+        with IngestPipeline(make_platform(world),
+                            IngestConfig(mode="process", workers=2,
+                                         queue_capacity=4)) as pipeline:
+            storm = pipeline.run(streams)
         assert storm.datasets == serial.datasets == 4
+        assert storm.samples == serial.samples
         # The pool starts its second worker when a task arrives while
         # the first is busy, so two tasks in flight means two boots.
         assert storm.max_inflight >= 2
@@ -547,13 +525,10 @@ class TestSpawnPoolLifecycle:
         assert prints == _fingerprints(serial)
         assert _pool_pids() == []
 
-    def test_initargs_stay_small(self, world, monkeypatch):
+    def test_initargs_stay_small(self, world, inline_pool):
         """Spawn writes the initargs down a pipe the child reads at
         start-up; past the 64 KiB pipe buffer, a child that dies first
         blocks that write forever."""
-        import concurrent.futures
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            _InlinePool)
         _InlinePool.initargs_bytes.clear()
         arrivals = world["stream"].arrivals()[:2]
         with IngestPipeline(make_platform(world),

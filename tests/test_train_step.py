@@ -334,8 +334,8 @@ class TestLosses:
 
 class TestConcurrentTraining:
     def test_two_threads_train_like_one_after_the_other(self):
-        # Thread-mode ingestion and the thread-mode updater fine-tune
-        # clones at the same time; each must train as if alone.
+        # The thread-mode updater trains while the owner thread
+        # fine-tunes its detection clones; each must train as if alone.
         base, _, features = _model_pair("tinyresnet")
         datasets = [_dataset(97, features, seed=s) for s in (4, 5)]
 
