@@ -2,8 +2,8 @@
 
 PYTHON ?= python3
 
-.PHONY: install test bench report examples lint analyze graph \
-	analyze-smoke typecheck trace-smoke chaos-smoke clean
+.PHONY: install test bench report examples lint analyze typecheck \
+	trace-smoke chaos-smoke clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -34,25 +34,11 @@ lint:
 		echo "ruff not installed; skipping (pip install -e '.[dev]')"; \
 	fi
 
-# The repo's own AST invariant checker (RNG / atomic-write / tracer /
-# wall-clock / API-hygiene discipline).  Always available: it only
-# needs the stdlib ast module.
+# The repo's own per-file AST invariant checker (RNG / stream-tag /
+# atomic-write / tracer / wall-clock / guarded-by discipline).  Always
+# available: it only needs the stdlib ast module.
 analyze:
 	PYTHONPATH=src $(PYTHON) -m repro lint src
-
-# Render the project import graph (same graph the REP6xx rules check)
-# and the REP703 lock-order graph as Graphviz DOT.
-# `dot -Tsvg deps.dot -o deps.svg` to view.
-graph:
-	PYTHONPATH=src $(PYTHON) -m repro deps src --format dot > deps.dot
-	PYTHONPATH=src $(PYTHON) -m repro deps src --locks --format dot > locks.dot
-	@echo "wrote deps.dot locks.dot"
-
-# Analyzer perf smoke: cold vs warm incremental-cache full-tree runs
-# (hit/miss ledger gated, wall-clock sanity-checked).
-analyze-smoke:
-	PYTHONPATH=src $(PYTHON) -m pytest -x -q \
-		benchmarks/test_analyzer_smoke.py
 
 # Strict typing gate on the typed core (repro.obs, repro.datalake,
 # repro.core; scope configured in pyproject.toml).  Skips politely
@@ -90,6 +76,5 @@ chaos-smoke:
 		--fail-stage shard_flush --checkpoint-dir chaos_ckpt_shards
 
 clean:
-	rm -rf build dist *.egg-info src/*.egg-info chaos_ckpt chaos_ckpt_* \
-		.repro-analysis deps.dot locks.dot
+	rm -rf build dist *.egg-info src/*.egg-info chaos_ckpt chaos_ckpt_*
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -1,50 +1,31 @@
-"""``repro.analysis`` — the repo's own static invariant checker.
+"""``repro.analysis`` — the repo's own per-file invariant checker.
 
 PR 2 made *byte-identical checkpoint/resume with identical verdicts*
 the platform's headline guarantee.  That guarantee only holds while
-every module keeps three disciplines: seeded Generators threaded as
-parameters (never global RNG state), state files written through the
-atomic persistence helpers, and stage boundaries visible to the
-tracer.  This package encodes those disciplines — plus wall-clock and
-API hygiene — as AST rules (:mod:`repro.analysis.rules`), scoped by
-the invariant manifest in :mod:`repro.analysis.config`, and runs them
-via ``repro lint`` / :func:`analyze_paths`.
+every module keeps a few disciplines: seeded Generators threaded as
+parameters (never global RNG state), derived RNG streams keyed by
+registered ``STREAM_TAGS``, state files written through the atomic
+persistence helpers, stage boundaries visible to the tracer, wall
+clocks read only in ``repro.obs``, and declared ``guarded-by`` lock
+contracts.  This package encodes those disciplines as AST rules
+(:mod:`repro.analysis.rules`), scoped by the invariant manifest in
+:mod:`repro.analysis.config`, and runs them via ``repro lint`` /
+:func:`analyze_paths`.  Each rule looks at one file.
 
-Suppression channels, in order of preference: fix the finding; silence
-one line with ``# repro: noqa[REP101]``; or grandfather it in the
-checked-in baseline (:mod:`repro.analysis.baseline`), which only ever
-shrinks after the initial sweep.
+Suppression: fix the finding, or silence one line with
+``# repro: noqa[REP101]`` and say why in a comment beside it.
 """
 
-from .baseline import (DEFAULT_BASELINE_PATH, load_baseline,
-                       write_baseline)
-from .cache import DEFAULT_CACHE_DIR, AnalysisCache
-from .concurrency import (ConcurrencyIndex, ModuleConcurrency,
-                          concurrency_index, extract_concurrency,
-                          render_locks_dot, render_locks_text)
 from .config import DEFAULT_CONFIG, AnalysisConfig
-from .determinism import (DeterminismIndex, ModuleDeterminism,
-                          determinism_index, extract_determinism)
 from .engine import analyze_paths, analyze_source, module_key
 from .findings import AnalysisResult, Finding, Severity
-from .graph import ModuleSummary, ProjectGraph
-from .report import render_json, render_sarif, render_text
-from .rules import (GRAPH_RULES, RULES, GraphRule, Rule,
-                    all_graph_rules, all_rules)
+from .report import render_json, render_text
+from .rules import RULES, Rule, all_rules
 
 __all__ = [
     "AnalysisConfig", "DEFAULT_CONFIG",
     "AnalysisResult", "Finding", "Severity",
     "analyze_paths", "analyze_source", "module_key",
     "RULES", "Rule", "all_rules",
-    "GRAPH_RULES", "GraphRule", "all_graph_rules",
-    "ModuleSummary", "ProjectGraph",
-    "ConcurrencyIndex", "ModuleConcurrency",
-    "concurrency_index", "extract_concurrency",
-    "render_locks_dot", "render_locks_text",
-    "DeterminismIndex", "ModuleDeterminism",
-    "determinism_index", "extract_determinism",
-    "AnalysisCache", "DEFAULT_CACHE_DIR",
-    "load_baseline", "write_baseline", "DEFAULT_BASELINE_PATH",
-    "render_text", "render_json", "render_sarif",
+    "render_text", "render_json",
 ]

@@ -1,8 +1,7 @@
 """``repro lint``: the analysis engine as a CLI subcommand.
 
-Exit codes: 0 clean (after suppressions), 1 violations, 2 bad usage
-or an unreadable baseline.  ``make analyze`` and the CI ``analysis``
-job run ``repro lint src``.
+Exit codes: 0 clean (after noqa suppressions), 1 violations.
+``make analyze`` and the CI ``analysis`` job run ``repro lint src``.
 """
 
 from __future__ import annotations
@@ -12,12 +11,9 @@ import json
 import sys
 from typing import List
 
-from .baseline import (DEFAULT_BASELINE_PATH, load_baseline,
-                       write_baseline)
-from .cache import DEFAULT_CACHE_DIR
 from .engine import analyze_paths
-from .report import render_json, render_sarif, render_text
-from .rules import GRAPH_RULES, RULES
+from .report import render_json, render_text
+from .rules import RULES
 
 
 def add_parser(sub: "argparse._SubParsersAction") -> None:
@@ -27,81 +23,30 @@ def add_parser(sub: "argparse._SubParsersAction") -> None:
         help="run the repo's static invariant checks (repro.analysis)")
     p.add_argument("paths", nargs="*", default=["src"],
                    help="files/directories to scan (default: src)")
-    p.add_argument("--format", choices=["text", "json", "sarif"],
+    p.add_argument("--format", choices=["text", "json"],
                    default="text", help="output format")
-    p.add_argument("--baseline", default=DEFAULT_BASELINE_PATH,
-                   help="baseline file of grandfathered findings "
-                        f"(default: {DEFAULT_BASELINE_PATH})")
-    p.add_argument("--no-baseline", action="store_true",
-                   help="ignore the baseline file entirely")
-    p.add_argument("--write-baseline", action="store_true",
-                   help="rewrite the baseline from current findings "
-                        "and exit 0")
-    p.add_argument("--strict", action="store_true",
-                   help="warnings also fail the run")
     p.add_argument("--show-suppressed", action="store_true",
-                   help="include noqa/baselined findings in text "
+                   help="include noqa-suppressed findings in text "
                         "output")
     p.add_argument("--list-rules", action="store_true",
                    help="print the rule catalog and exit")
-    p.add_argument("--rules", default=None, metavar="PREFIX[,...]",
-                   help="only run rules matching these comma-"
-                        "separated id prefixes (e.g. REP8 for the "
-                        "determinism family); REP001 always runs")
-    p.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
-                   help="incremental analysis cache directory "
-                        f"(default: {DEFAULT_CACHE_DIR})")
-    p.add_argument("--no-cache", action="store_true",
-                   help="disable the incremental cache for this run")
     p.set_defaults(fn=cmd_lint)
-
-
-def _print_rules() -> None:
-    for rule_id, cls in sorted({**RULES, **GRAPH_RULES}.items()):
-        print(f"{rule_id}  {cls.severity.value:7s}  {cls.title}")
-        print(f"        {cls.description}")
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
     """Run the analysis and render the requested report."""
     if args.list_rules:
-        _print_rules()
+        for rule_id, cls in sorted(RULES.items()):
+            print(f"{rule_id}  {cls.title}")
+            print(f"        {cls.description}")
         return 0
-    rules = None
-    if args.rules is not None:
-        rules = tuple(r.strip() for r in args.rules.split(",")
-                      if r.strip())
-        if not rules:
-            print("error: --rules needs at least one prefix",
-                  file=sys.stderr)
-            return 2
-        if args.write_baseline:
-            # A family-scoped run sees only a slice of the findings;
-            # writing it out would silently drop every other entry.
-            print("error: --write-baseline cannot be combined with "
-                  "--rules", file=sys.stderr)
-            return 2
-    try:
-        baseline = ({} if args.no_baseline
-                    else load_baseline(args.baseline))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    cache_dir = None if args.no_cache else args.cache_dir
-    result = analyze_paths(args.paths, baseline=baseline,
-                           cache_dir=cache_dir, rules=rules)
-    if args.write_baseline:
-        count = write_baseline(args.baseline, result.findings)
-        print(f"wrote {count} finding(s) to {args.baseline}")
-        return 0
+    result = analyze_paths(args.paths)
     if args.format == "json":
         print(json.dumps(render_json(result), indent=2))
-    elif args.format == "sarif":
-        print(json.dumps(render_sarif(result), indent=2))
     else:
         print(render_text(result,
                           show_suppressed=args.show_suppressed))
-    return result.exit_code(strict=args.strict)
+    return result.exit_code()
 
 
 def main(argv: List[str] | None = None) -> int:

@@ -1,26 +1,12 @@
 """Analysis driver: walk files, run rules, apply suppressions.
 
 The engine is what ``repro lint`` executes: it collects ``.py`` files,
-parses each once, runs every registered per-file rule over the module
-context, extracts a :class:`~repro.analysis.graph.ModuleSummary`, then
-runs the whole-program REP6xx rules over the assembled
-:class:`~repro.analysis.graph.ProjectGraph`.  Raw findings pass
-through the two suppression channels —
-
-- **inline**: ``# repro: noqa[REP101]`` (or a blanket ``# repro:
-  noqa``) on the flagged physical line;
-- **baseline**: fingerprints recorded in the checked-in baseline file
-  (see :mod:`repro.analysis.baseline`).
-
-Suppressed findings stay in the result (marked with *how* they were
-silenced) so reports can show them; only *active* findings affect the
-exit code.
-
-With ``cache_dir`` set, per-file findings and module summaries are
-replayed from the incremental cache (:mod:`repro.analysis.cache`) for
-files whose content digest is unchanged — only edited files are
-re-parsed.  Graph rules always re-run: their findings depend on other
-modules, but they consume only the (cheap) summaries.
+parses each once and runs every registered rule over that one module.
+No rule looks past the file it checks.  Raw findings pass through the
+inline suppression channel — ``# repro: noqa[REP101]`` (or a blanket
+``# repro: noqa``) on the flagged physical line.  Suppressed findings
+stay in the result (marked ``noqa``) so reports can show them; only
+*active* findings affect the exit code.
 """
 
 from __future__ import annotations
@@ -29,20 +15,11 @@ import ast
 import os
 import re
 from pathlib import PurePosixPath
-from typing import (Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .cache import AnalysisCache, content_digest
 from .config import DEFAULT_CONFIG, AnalysisConfig
-from .findings import (SUPPRESSED_BASELINE, AnalysisResult, Finding,
-                       Severity)
-from .graph import ModuleSummary, ProjectGraph
-from .rules import ModuleContext, all_graph_rules, all_rules
-# Importing the modules registers the REP7xx / REP8xx graph rules
-# (they live in their own modules to keep rules.py free of a
-# rules <-> concurrency/determinism import cycle).
-from . import concurrency as _concurrency  # noqa: F401
-from . import determinism as _determinism  # noqa: F401
+from .findings import AnalysisResult, Finding
+from .rules import ModuleContext, all_rules
 
 _NOQA_RE = re.compile(
     r"#\s*repro:\s*noqa(?:\[(?P<rules>[A-Z0-9,\s]+)\])?")
@@ -58,19 +35,14 @@ def module_key(path: str, root: Optional[str] = None) -> str:
     Files inside a ``repro`` tree key as the path from the last
     ``repro`` component down: ``src/repro/datalake/stream.py`` and
     ``/tmp/fixtures/repro/datalake/stream.py`` both key as
-    ``repro/datalake/stream.py``, which is what rule scoping and
-    baseline fingerprints are expressed in.
+    ``repro/datalake/stream.py``, which is what rule scoping is
+    expressed in.
 
     Files *outside* a ``repro`` tree key relative to the scan
     ``root`` they were collected under (prefixed with the root's
     basename so sibling roots stay distinct): scanning ``tests``
-    keys ``tests/fixtures/a.py`` as ``tests/fixtures/a.py``, not the
-    colliding bare ``a.py`` that older versions produced.  Baseline
-    migration note: fingerprints for non-``repro`` files recorded
-    before this change used the bare filename and must be re-written
-    (``repro lint --write-baseline``); in-repo baselines only cover
-    ``src/repro`` and are unaffected.  Without a root the bare
-    filename is kept for backwards compatibility.
+    keys ``tests/fixtures/a.py`` as ``tests/fixtures/a.py``.  Without
+    a root the bare filename is kept.
     """
     parts = PurePosixPath(path.replace(os.sep, "/")).parts
     if "repro" in parts:
@@ -87,8 +59,8 @@ def module_key(path: str, root: Optional[str] = None) -> str:
     return parts[-1] if parts else path
 
 
-def iter_python_files_with_roots(paths: Iterable[str],
-                                 ) -> Iterator[Tuple[str, str]]:
+def iter_python_files(paths: Iterable[str],
+                      ) -> Iterator[Tuple[str, str]]:
     """``(file, scan_root)`` for every ``.py`` file under ``paths``.
 
     Files are yielded sorted and deduplicated; when two roots reach
@@ -112,25 +84,6 @@ def iter_python_files_with_roots(paths: Iterable[str],
         yield file, seen[file]
 
 
-def iter_python_files(paths: Iterable[str]) -> Iterator[str]:
-    """Every ``.py`` file under ``paths``, sorted, skipping caches."""
-    for file, _root in iter_python_files_with_roots(paths):
-        yield file
-
-
-def rule_enabled(rule_id: str,
-                 rules: Optional[Sequence[str]]) -> bool:
-    """True when ``rule_id`` matches the ``--rules`` prefix filter.
-
-    No filter (None/empty) enables everything; REP001 (syntax error)
-    is always enabled — a family-scoped run on an unparseable file
-    must still say so rather than reporting it clean.
-    """
-    if not rules or rule_id == "REP001":
-        return True
-    return any(rule_id.startswith(prefix) for prefix in rules)
-
-
 def _noqa_rules(line: str) -> Optional[frozenset]:
     """Rules silenced on this line; empty frozenset means *all*."""
     match = _NOQA_RE.search(line)
@@ -142,177 +95,44 @@ def _noqa_rules(line: str) -> Optional[frozenset]:
     return frozenset(r.strip() for r in rules.split(",") if r.strip())
 
 
-def _analyze_module(source: str, path: str, key: str,
-                    config: AnalysisConfig,
-                    rules: Optional[Sequence[str]] = None,
-                    ) -> Tuple[List[Finding], Optional[ModuleSummary]]:
-    """Per-file pass: findings (post-noqa) plus the module summary."""
+def analyze_source(source: str, path: str,
+                   config: Optional[AnalysisConfig] = None,
+                   root: Optional[str] = None) -> List[Finding]:
+    """Run every rule over one module's source text."""
+    config = config or DEFAULT_CONFIG
     lines = source.splitlines()
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
         return [Finding(
-            rule="REP001", severity=Severity.ERROR, path=path, key=key,
-            line=exc.lineno or 1, col=(exc.offset or 1) - 1,
-            message=f"syntax error: {exc.msg}",
-            source_line=(lines[exc.lineno - 1]
-                         if exc.lineno and exc.lineno <= len(lines)
-                         else ""))], None
-    ctx = ModuleContext(path, key, tree, lines, config)
+            rule="REP001", path=path, line=exc.lineno or 1,
+            col=(exc.offset or 1) - 1,
+            message=f"syntax error: {exc.msg}")]
+    ctx = ModuleContext(module_key(path, root), tree, lines, config)
     findings: List[Finding] = []
     for rule in all_rules():
-        if not rule_enabled(rule.id, rules):
-            continue
         for line, col, message in rule.check(ctx):
             text = lines[line - 1] if 0 < line <= len(lines) else ""
+            silenced = _noqa_rules(text)
             findings.append(Finding(
-                rule=rule.id, severity=rule.severity, path=path,
-                key=key, line=line, col=col, message=message,
-                source_line=text))
-    _assign_occurrences(findings)
-    _apply_noqa(findings, lines)
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings, ModuleSummary.build(tree, key, lines=lines)
-
-
-def analyze_source(source: str, path: str,
-                   config: Optional[AnalysisConfig] = None,
-                   root: Optional[str] = None) -> List[Finding]:
-    """Run every per-file rule over one module's source text."""
-    config = config or DEFAULT_CONFIG
-    findings, _summary = _analyze_module(
-        source, path, module_key(path, root), config)
-    return findings
-
-
-def _assign_occurrences(findings: List[Finding]) -> None:
-    """Disambiguate identical (rule, key, line-text) fingerprints."""
-    counts: Dict[Tuple[str, str, str], int] = {}
-    for finding in sorted(findings,
-                          key=lambda f: (f.line, f.col, f.rule)):
-        ident = (finding.rule, finding.key,
-                 finding.source_line.strip())
-        finding.occurrence = counts.get(ident, 0)
-        counts[ident] = finding.occurrence + 1
-
-
-def _apply_noqa(findings: List[Finding], lines: List[str]) -> None:
-    for finding in findings:
-        if not (0 < finding.line <= len(lines)):
-            continue
-        silenced = _noqa_rules(lines[finding.line - 1])
-        if silenced is None:
-            continue
-        if not silenced or finding.rule in silenced:
-            finding.suppressed = "noqa"
-
-
-def _graph_findings(graph: ProjectGraph, config: AnalysisConfig,
-                    file_lines: Dict[str, List[str]],
-                    rules: Optional[Sequence[str]] = None,
-                    ) -> List[Finding]:
-    """Run the whole-program rules over the project graph."""
-    findings: List[Finding] = []
-    for rule in all_graph_rules():
-        if not rule_enabled(rule.id, rules):
-            continue
-        for module, line, col, message in rule.check_project(
-                graph, config):
-            summary = graph.modules.get(module)
-            if summary is None:
-                continue
-            path = graph.paths[module]
-            lines = file_lines.get(path, [])
-            text = lines[line - 1] if 0 < line <= len(lines) else ""
-            findings.append(Finding(
-                rule=rule.id, severity=rule.severity, path=path,
-                key=summary.key, line=line, col=col, message=message,
-                source_line=text))
-    # REP6xx ids are disjoint from per-file rule ids, so occurrence
-    # counting over graph findings alone cannot collide with them.
-    _assign_occurrences(findings)
-    for finding in findings:
-        _apply_noqa([finding], file_lines.get(finding.path, []))
+                rule=rule.id, path=path, line=line, col=col,
+                message=message,
+                suppressed=("noqa" if silenced is not None
+                            and (not silenced or rule.id in silenced)
+                            else None)))
+    findings.sort(key=lambda f: (f.line, f.col, f.rule))
     return findings
 
 
 def analyze_paths(paths: Iterable[str],
                   config: Optional[AnalysisConfig] = None,
-                  baseline: Optional[Dict[str, Dict[str, object]]] = None,
-                  cache_dir: Optional[str] = None,
-                  rules: Optional[Sequence[str]] = None,
                   ) -> AnalysisResult:
-    """Analyze every python file under ``paths``.
-
-    ``baseline`` is the fingerprint map from
-    :func:`repro.analysis.baseline.load_baseline`; matched findings
-    are marked suppressed, unmatched entries are reported stale.
-    ``cache_dir`` enables the incremental cache: unchanged files
-    replay their findings and summary instead of being re-parsed.
-    ``rules`` restricts the run to rule ids matching any of the given
-    prefixes (``["REP8"]`` runs only the determinism family).  A
-    filtered run replays cached findings through the filter but never
-    *stores* its (partial) per-file findings, so it cannot poison a
-    later full run; stale-baseline reporting is likewise restricted
-    to entries whose rule matches the filter.
-    """
-    config = config or DEFAULT_CONFIG
-    baseline = baseline or {}
+    """Analyze every python file under ``paths``."""
     result = AnalysisResult()
-    cache = (AnalysisCache(cache_dir, config)
-             if cache_dir is not None else None)
-    summaries: List[Tuple[str, ModuleSummary]] = []
-    file_lines: Dict[str, List[str]] = {}
-    all_findings: List[Finding] = []
-    scanned: List[str] = []
-    for path, root in iter_python_files_with_roots(paths):
+    for path, root in iter_python_files(paths):
         with open(path, encoding="utf-8") as fh:
             source = fh.read()
-        scanned.append(path)
-        key = module_key(path, root)
-        digest = content_digest(source)
-        cached = cache.lookup(path, digest, key) if cache else None
-        if cached is not None:
-            findings, summary = cached
-            # Cached findings are stored pre-baseline, but guard
-            # against older stores: the current baseline is the only
-            # authority on baseline suppression.
-            for finding in findings:
-                if finding.suppressed == SUPPRESSED_BASELINE:
-                    finding.suppressed = None
-            if rules:
-                findings = [f for f in findings
-                            if rule_enabled(f.rule, rules)]
-            result.cache_hits += 1
-        else:
-            findings, summary = _analyze_module(
-                source, path, key, config, rules=rules)
-            if cache is not None:
-                result.cache_misses += 1
-                if not rules:
-                    cache.store(path, digest, key, findings, summary)
-        if summary is not None:
-            summaries.append((path, summary))
-        file_lines[path] = source.splitlines()
-        all_findings.extend(findings)
+        result.findings.extend(analyze_source(source, path, config,
+                                              root=root))
         result.files_scanned += 1
-    graph = ProjectGraph.build(summaries)
-    all_findings.extend(
-        _graph_findings(graph, config, file_lines, rules=rules))
-    matched: set = set()
-    for finding in all_findings:
-        if (finding.suppressed is None
-                and finding.fingerprint in baseline):
-            finding.suppressed = "baseline"
-            matched.add(finding.fingerprint)
-    all_findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    result.findings = all_findings
-    considered = {
-        fp for fp, record in baseline.items()
-        if rule_enabled(str(record.get("rule", "")), rules)
-    } if rules else set(baseline)
-    result.stale_baseline = sorted(considered - matched)
-    if cache is not None:
-        cache.prune(scanned)
-        cache.save()
     return result

@@ -1,37 +1,21 @@
 """Finding model for the repo's static-analysis pass.
 
-A :class:`Finding` is one rule violation at one source location.  Its
-*fingerprint* identifies the finding across reformatting-free edits:
-it hashes the rule id, the module key (the path from the ``repro``
-package root down, so checkouts at different prefixes agree) and the
-stripped source line text, plus an occurrence index to disambiguate
-identical lines.  Line *numbers* are deliberately excluded — inserting
-a docstring above a grandfathered finding must not invalidate the
-baseline entry that suppresses it.
+A :class:`Finding` is one rule violation at one source location.  Every
+rule is an error: a finding either fails the run or is silenced on its
+line with ``# repro: noqa[RULE]``.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional
 
 
 class Severity(str, Enum):
-    """How a finding affects the exit code.
-
-    ``ERROR`` findings fail the run; ``WARNING`` findings are reported
-    but only fail under ``--strict``.
-    """
+    """How a finding affects the exit code: an active error fails it."""
 
     ERROR = "error"
-    WARNING = "warning"
-
-
-#: How a reported-but-inactive finding was silenced.
-SUPPRESSED_NOQA = "noqa"
-SUPPRESSED_BASELINE = "baseline"
 
 
 @dataclass
@@ -39,23 +23,12 @@ class Finding:
     """One rule violation at one source location."""
 
     rule: str
-    severity: Severity
     path: str          #: path as given to the engine (for display)
-    key: str           #: module key, e.g. ``repro/datalake/stream.py``
     line: int          #: 1-based line number
     col: int           #: 0-based column
     message: str
-    source_line: str = ""
-    suppressed: Optional[str] = None   #: None, "noqa" or "baseline"
-    occurrence: int = 0
-
-    @property
-    def fingerprint(self) -> str:
-        """Stable identity for baseline matching (line-number free)."""
-        payload = "|".join((self.rule, self.key,
-                            self.source_line.strip(),
-                            str(self.occurrence)))
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    severity: Severity = Severity.ERROR
+    suppressed: Optional[str] = None   #: None or "noqa"
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -65,7 +38,6 @@ class Finding:
             "line": self.line,
             "col": self.col,
             "message": self.message,
-            "fingerprint": self.fingerprint,
             "suppressed": self.suppressed,
         }
 
@@ -81,29 +53,12 @@ class AnalysisResult:
 
     findings: List[Finding] = field(default_factory=list)
     files_scanned: int = 0
-    stale_baseline: List[str] = field(default_factory=list)
-    #: Incremental-cache counters (both stay 0 when caching is off):
-    #: hits replayed stored findings/summaries, misses were re-parsed.
-    cache_hits: int = 0
-    cache_misses: int = 0
-
-    @property
-    def active(self) -> List[Finding]:
-        """Findings that were not suppressed by noqa or baseline."""
-        return [f for f in self.findings if f.suppressed is None]
 
     @property
     def errors(self) -> List[Finding]:
-        return [f for f in self.active if f.severity is Severity.ERROR]
+        """Findings that were not suppressed by noqa."""
+        return [f for f in self.findings if f.suppressed is None]
 
-    @property
-    def warnings(self) -> List[Finding]:
-        return [f for f in self.active if f.severity is Severity.WARNING]
-
-    def exit_code(self, strict: bool = False) -> int:
-        """0 when clean; 1 when errors (or warnings under strict)."""
-        if self.errors:
-            return 1
-        if strict and self.warnings:
-            return 1
-        return 0
+    def exit_code(self) -> int:
+        """0 when clean; 1 when any active finding remains."""
+        return 1 if self.errors else 0

@@ -1,14 +1,10 @@
-"""Render an :class:`AnalysisResult` as text, JSON or SARIF."""
+"""Render an :class:`AnalysisResult` as text or JSON."""
 
 from __future__ import annotations
 
 from typing import Dict, List
 
-from .findings import AnalysisResult, Finding, Severity
-from .rules import GRAPH_RULES, RULES
-
-SARIF_VERSION = "2.1.0"
-_TOOL_NAME = "repro-lint"
+from .findings import AnalysisResult
 
 
 def render_text(result: AnalysisResult,
@@ -21,20 +17,10 @@ def render_text(result: AnalysisResult,
         elif show_suppressed:
             out.append(f"{finding.format()} "
                        f"[suppressed: {finding.suppressed}]")
-    baselined = sum(1 for f in result.findings
-                    if f.suppressed == "baseline")
-    noqa = sum(1 for f in result.findings if f.suppressed == "noqa")
+    noqa = len(result.findings) - len(result.errors)
     out.append(
         f"{result.files_scanned} files scanned: "
-        f"{len(result.errors)} error(s), "
-        f"{len(result.warnings)} warning(s), "
-        f"{noqa} noqa-suppressed, {baselined} baselined")
-    if result.cache_hits or result.cache_misses:
-        out.append(f"incremental cache: {result.cache_hits} hit(s), "
-                   f"{result.cache_misses} file(s) re-analyzed")
-    for fingerprint in result.stale_baseline:
-        out.append(f"stale baseline entry: {fingerprint} "
-                   f"(run with --write-baseline to prune)")
+        f"{len(result.errors)} error(s), {noqa} noqa-suppressed")
     return "\n".join(out)
 
 
@@ -43,56 +29,5 @@ def render_json(result: AnalysisResult) -> Dict[str, object]:
     return {
         "files_scanned": result.files_scanned,
         "errors": len(result.errors),
-        "warnings": len(result.warnings),
-        "cache_hits": result.cache_hits,
-        "cache_misses": result.cache_misses,
         "findings": [f.to_dict() for f in result.findings],
-        "stale_baseline": list(result.stale_baseline),
-    }
-
-
-def _sarif_level(severity: Severity) -> str:
-    return "error" if severity is Severity.ERROR else "warning"
-
-
-def _sarif_result(finding: Finding) -> Dict[str, object]:
-    return {
-        "ruleId": finding.rule,
-        "level": _sarif_level(finding.severity),
-        "message": {"text": finding.message},
-        "partialFingerprints": {
-            "reproLint/v1": finding.fingerprint,
-        },
-        "locations": [{
-            "physicalLocation": {
-                "artifactLocation": {"uri": finding.path},
-                "region": {"startLine": finding.line,
-                           "startColumn": finding.col + 1},
-            },
-        }],
-    }
-
-
-def render_sarif(result: AnalysisResult) -> Dict[str, object]:
-    """SARIF 2.1.0 log of the *active* findings.
-
-    Suppressed findings are omitted — SARIF consumers (code-scanning
-    UIs) should only see what currently fails the gate.
-    """
-    catalog = {**RULES, **GRAPH_RULES}
-    rules = [{
-        "id": rule_id,
-        "name": cls.title,
-        "shortDescription": {"text": cls.title},
-        "fullDescription": {"text": cls.description},
-        "defaultConfiguration": {"level": _sarif_level(cls.severity)},
-    } for rule_id, cls in sorted(catalog.items())]
-    return {
-        "$schema": ("https://json.schemastore.org/sarif-"
-                    f"{SARIF_VERSION}.json"),
-        "version": SARIF_VERSION,
-        "runs": [{
-            "tool": {"driver": {"name": _TOOL_NAME, "rules": rules}},
-            "results": [_sarif_result(f) for f in result.active],
-        }],
     }

@@ -4,8 +4,9 @@ Rules are registered in :data:`RULES` (id -> class) via the
 :func:`register` decorator and instantiated per run.  A rule's
 ``check(ctx)`` yields ``(line, col, message)`` tuples; the engine turns
 them into :class:`~repro.analysis.findings.Finding` objects, applies
-``# repro: noqa[...]`` suppressions and the baseline, and decides the
-exit code.
+``# repro: noqa[...]`` suppressions, and decides the exit code.  Every
+rule sees one module only: a contract that spans modules is held by a
+runtime test instead (DESIGN.md §9).
 
 Name resolution is purely syntactic: an :class:`ImportMap` records the
 module's import aliases so ``np.random.seed``, ``numpy.random.seed``
@@ -18,10 +19,11 @@ analysis would be unsafe.
 from __future__ import annotations
 
 import ast
-from typing import (Dict, Iterator, List, Optional, Set, Tuple, Type)
+import re
+from typing import (Dict, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple, Type)
 
 from .config import AnalysisConfig
-from .findings import Severity
 
 #: ``(line, col, message)`` triples yielded by rule checks.
 RawFinding = Tuple[int, int, str]
@@ -81,9 +83,8 @@ class ImportMap:
 class ModuleContext:
     """Everything a rule may look at for one module."""
 
-    def __init__(self, path: str, key: str, tree: ast.Module,
-                 lines: List[str], config: AnalysisConfig):
-        self.path = path
+    def __init__(self, key: str, tree: ast.Module, lines: List[str],
+                 config: AnalysisConfig):
         self.key = key
         self.tree = tree
         self.lines = lines
@@ -100,7 +101,6 @@ class Rule:
 
     id: str = ""
     title: str = ""
-    severity: Severity = Severity.ERROR
     description: str = ""
 
     def check(self, ctx: ModuleContext) -> Iterator[RawFinding]:
@@ -126,7 +126,6 @@ class LegacyRandomRule(Rule):
 
     id = "REP101"
     title = "rng-legacy"
-    severity = Severity.ERROR
     description = (
         "numpy.random legacy API (seed/rand/shuffle/RandomState/…) and "
         "the stdlib random module mutate hidden global state and break "
@@ -179,7 +178,6 @@ class UnseededGeneratorRule(Rule):
 
     id = "REP102"
     title = "rng-unseeded"
-    severity = Severity.ERROR
     description = (
         "numpy.random.default_rng() with no seed draws OS entropy, so "
         "a resumed run diverges from the original; pass an explicit "
@@ -213,7 +211,6 @@ class AtomicWriteRule(Rule):
 
     id = "REP201"
     title = "atomic-write"
-    severity = Severity.ERROR
     description = (
         "direct writes inside repro.datalake can tear state files on a "
         "crash; route them through persistence.atomic_write_json / "
@@ -278,7 +275,6 @@ class TracerSpanRule(Rule):
 
     id = "REP301"
     title = "tracer-span"
-    severity = Severity.ERROR
     description = (
         "stage entry points listed in analysis.config."
         "TRACED_ENTRY_POINTS must open an obs span (trace_span) or "
@@ -348,7 +344,6 @@ class WallClockRule(Rule):
 
     id = "REP401"
     title = "wall-clock"
-    severity = Severity.ERROR
     description = (
         "raw clock reads (time.time/perf_counter/datetime.now) outside "
         "repro.obs scatter unmockable timing through "
@@ -369,367 +364,329 @@ class WallClockRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# API hygiene
+# Guarded-by contracts
 # ----------------------------------------------------------------------
-@register
-class MutableDefaultRule(Rule):
-    """Mutable default arguments alias state across calls."""
+#: ``# repro: guarded-by(lock_attr)`` on an attribute's initialisation
+#: line (a class-body field or a ``self.x = ...`` in a method).
+GUARD_RE = re.compile(
+    r"#\s*repro:\s*guarded-by\(\s*([A-Za-z_][A-Za-z0-9_]*)\s*\)")
 
-    id = "REP501"
-    title = "mutable-default"
-    severity = Severity.ERROR
-    description = (
-        "list/dict/set default arguments are evaluated once and shared "
-        "across calls; default to None (or use dataclasses.field).")
-
-    _MUTABLE_CALLS = {"list", "dict", "set"}
-
-    def check(self, ctx: ModuleContext) -> Iterator[RawFinding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.FunctionDef,
-                                     ast.AsyncFunctionDef)):
-                continue
-            args = node.args
-            defaults = list(args.defaults) + list(args.kw_defaults)
-            for default in defaults:
-                if default is None:
-                    continue
-                if isinstance(default, (ast.List, ast.Dict, ast.Set,
-                                        ast.ListComp, ast.DictComp,
-                                        ast.SetComp)):
-                    yield (default.lineno, default.col_offset,
-                           f"mutable default argument in "
-                           f"{node.name}(); use None")
-                elif (isinstance(default, ast.Call)
-                      and isinstance(default.func, ast.Name)
-                      and default.func.id in self._MUTABLE_CALLS):
-                    yield (default.lineno, default.col_offset,
-                           f"mutable default argument in "
-                           f"{node.name}(); use None")
+#: Method names that mutate their receiver (``self.x.append(...)``
+#: counts as a write to ``x``).
+MUTATING_METHODS = frozenset({
+    "append", "appendleft", "add", "clear", "discard", "extend",
+    "insert", "move_to_end", "pop", "popitem", "remove", "setdefault",
+    "sort", "update",
+})
 
 
-@register
-class DunderAllRule(Rule):
-    """``__all__`` must agree with what the module actually binds."""
+class MutationSite(NamedTuple):
+    """One write to ``self.attr`` inside a method of a module class."""
 
-    id = "REP502"
-    title = "all-consistency"
-    severity = Severity.ERROR
-    description = (
-        "every name listed in __all__ must actually be bound in the "
-        "module — a phantom export breaks star-imports and the "
-        "documented API surface.")
+    attr: str                  #: "Class.attr"
+    kind: str                  #: "assign" | "aug" | "item" | "del"
+                               #: | "method:<name>"
+    line: int
+    col: int
+    func: str                  #: "Class.method"
+    locks: Tuple[str, ...]     #: "Class.attr" of each enclosing
+                               #: ``with self.<attr>:``
 
-    def check(self, ctx: ModuleContext) -> Iterator[RawFinding]:
-        exported = self._exported(ctx.tree)
-        if exported is None:
+
+def _self_attr(expr: ast.AST, owner: str) -> Optional[str]:
+    """``self.x`` -> ``Owner.x``, else None."""
+    if (isinstance(expr, ast.Attribute)
+            and isinstance(expr.value, ast.Name)
+            and expr.value.id == "self"):
+        return f"{owner}.{expr.attr}"
+    return None
+
+
+def _classes(tree: ast.Module) -> Iterator[ast.ClassDef]:
+    return (node for node in tree.body if isinstance(node, ast.ClassDef))
+
+
+def _methods(cls: ast.ClassDef) -> Iterator[ast.FunctionDef]:
+    return (item for item in cls.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+
+def guard_annotations(tree: ast.Module,
+                      lines: Sequence[str]) -> Dict[str, str]:
+    """``{"Class.attr": lock_attr}`` for every guarded-by annotation."""
+    guards: Dict[str, str] = {}
+
+    def note(stmt: ast.stmt, name: Optional[str]) -> None:
+        if name is None or not 0 < stmt.lineno <= len(lines):
             return
-        names, node = exported
-        bound = self._bound_names(ctx.tree)
-        for name in names:
-            if name not in bound:
-                yield (node.lineno, node.col_offset,
-                       f"__all__ lists {name!r} but the module never "
-                       f"binds it")
+        match = GUARD_RE.search(lines[stmt.lineno - 1])
+        if match is not None:
+            guards[name] = match.group(1)
 
-    @staticmethod
-    def _exported(
-            tree: ast.Module) -> Optional[Tuple[List[str], ast.AST]]:
-        for node in tree.body:
-            targets: List[ast.expr] = []
-            value: Optional[ast.expr] = None
-            if isinstance(node, ast.Assign):
-                targets, value = node.targets, node.value
-            elif isinstance(node, ast.AnnAssign) and node.value:
-                targets, value = [node.target], node.value
+    for cls in _classes(tree):
+        for item in cls.body:
+            if isinstance(item, ast.AnnAssign):
+                targets = [item.target]
+            elif isinstance(item, ast.Assign):
+                targets = item.targets
+            else:
+                continue
             for target in targets:
-                if (isinstance(target, ast.Name)
-                        and target.id == "__all__"
-                        and isinstance(value, (ast.List, ast.Tuple))):
-                    names = [e.value for e in value.elts
-                             if isinstance(e, ast.Constant)
-                             and isinstance(e.value, str)]
-                    return names, node
-        return None
+                if isinstance(target, ast.Name):
+                    note(item, f"{cls.name}.{target.id}")
+        for method in _methods(cls):
+            for stmt in ast.walk(method):
+                if isinstance(stmt, ast.AnnAssign):
+                    note(stmt, _self_attr(stmt.target, cls.name))
+                elif isinstance(stmt, ast.Assign):
+                    for target in stmt.targets:
+                        note(stmt, _self_attr(target, cls.name))
+    return guards
 
-    @staticmethod
-    def _bound_names(tree: ast.Module) -> Set[str]:
-        bound: Set[str] = set()
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                bound.add(node.name)
-            elif isinstance(node, ast.Assign):
-                for target in node.targets:
-                    for sub in ast.walk(target):
-                        if isinstance(sub, ast.Name):
-                            bound.add(sub.id)
-            elif isinstance(node, ast.AnnAssign):
-                if isinstance(node.target, ast.Name):
-                    bound.add(node.target.id)
-            elif isinstance(node, ast.Import):
-                for alias in node.names:
-                    bound.add(alias.asname
-                              or alias.name.split(".")[0])
-            elif isinstance(node, ast.ImportFrom):
-                for alias in node.names:
-                    if alias.name == "*":
-                        continue
-                    bound.add(alias.asname or alias.name)
-            elif isinstance(node, (ast.If, ast.Try)):
-                # One level of conditional/guarded binding is enough
-                # for this codebase (TYPE_CHECKING blocks, optional
-                # imports).
-                for sub in ast.walk(node):
-                    if isinstance(sub, (ast.FunctionDef, ast.ClassDef)):
-                        bound.add(sub.name)
-                    elif isinstance(sub, (ast.Import, ast.ImportFrom)):
-                        for alias in sub.names:
-                            if alias.name != "*":
-                                bound.add(alias.asname or alias.name)
-        return bound
+
+class _MutationScanner:
+    """Walk one method body tracking the ``with self.<attr>:`` stack."""
+
+    def __init__(self, owner: str, func: str,
+                 sites: List[MutationSite]):
+        self.owner = owner
+        self.func = func
+        self.sites = sites
+
+    def body(self, stmts: Sequence[ast.stmt],
+             locks: Tuple[str, ...]) -> None:
+        for stmt in stmts:
+            self.stmt(stmt, locks)
+
+    def stmt(self, stmt: ast.stmt, locks: Tuple[str, ...]) -> None:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            # A nested def's body runs later, with unknown locks held.
+            self.body(stmt.body, ())
+        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
+            inner = locks
+            for item in stmt.items:
+                lock = _self_attr(item.context_expr, self.owner)
+                if lock is not None:
+                    inner = inner + (lock,)
+                else:
+                    self.expr(item.context_expr, locks)
+            self.body(stmt.body, inner)
+        elif isinstance(stmt, ast.Assign):
+            for target in stmt.targets:
+                self.target(target, "assign", locks)
+            self.expr(stmt.value, locks)
+        elif isinstance(stmt, ast.AnnAssign):
+            if stmt.value is not None:
+                self.target(stmt.target, "assign", locks)
+                self.expr(stmt.value, locks)
+        elif isinstance(stmt, ast.AugAssign):
+            self.target(stmt.target, "aug", locks)
+            self.expr(stmt.value, locks)
+        elif isinstance(stmt, ast.Delete):
+            for target in stmt.targets:
+                self.target(target, "del", locks)
+        else:
+            for child in ast.iter_child_nodes(stmt):
+                if isinstance(child, ast.stmt):
+                    self.stmt(child, locks)
+                elif isinstance(child, ast.ExceptHandler):
+                    self.body(child.body, locks)
+                elif isinstance(child, ast.expr):
+                    self.expr(child, locks)
+
+    def expr(self, expr: ast.expr, locks: Tuple[str, ...]) -> None:
+        for sub in ast.walk(expr):
+            if (isinstance(sub, ast.Call)
+                    and isinstance(sub.func, ast.Attribute)
+                    and sub.func.attr in MUTATING_METHODS):
+                attr = _self_attr(sub.func.value, self.owner)
+                if attr is not None:
+                    self.add(attr, f"method:{sub.func.attr}", sub, locks)
+
+    def target(self, target: ast.expr, kind: str,
+               locks: Tuple[str, ...]) -> None:
+        if isinstance(target, (ast.Tuple, ast.List)):
+            for element in target.elts:
+                self.target(element, kind, locks)
+        elif isinstance(target, ast.Starred):
+            self.target(target.value, kind, locks)
+        elif isinstance(target, ast.Attribute):
+            attr = _self_attr(target, self.owner)
+            if attr is not None:
+                self.add(attr, kind, target, locks)
+        elif isinstance(target, ast.Subscript):
+            attr = _self_attr(target.value, self.owner)
+            if attr is not None:
+                self.add(attr, "item" if kind == "assign" else kind,
+                         target, locks)
+            self.expr(target.slice, locks)
+
+    def add(self, attr: str, kind: str, node: ast.AST,
+            locks: Tuple[str, ...]) -> None:
+        self.sites.append(MutationSite(attr, kind, node.lineno,
+                                       node.col_offset, self.func,
+                                       locks))
+
+
+def mutation_sites(tree: ast.Module) -> List[MutationSite]:
+    """Every ``self.attr`` write in the methods of the module's classes."""
+    sites: List[MutationSite] = []
+    for cls in _classes(tree):
+        for method in _methods(cls):
+            _MutationScanner(cls.name, f"{cls.name}.{method.name}",
+                             sites).body(method.body, ())
+    return sites
 
 
 @register
-class AllCoverageRule(Rule):
-    """Public names a package re-exports should appear in __all__."""
+class GuardedByRule(Rule):
+    """Declared guarded-by contracts hold at every mutation site."""
 
-    id = "REP503"
-    title = "all-coverage"
-    severity = Severity.WARNING
+    id = "REP702"
+    title = "guarded-by"
     description = (
-        "a package __init__ that defines __all__ but re-exports public "
-        "names not listed in it creates accidental API surface; list "
-        "the name or rename it with a leading underscore.")
+        "an attribute annotated '# repro: guarded-by(_lock)' on its "
+        "initialisation line must only ever be mutated inside "
+        "'with self._lock:'; __init__ is exempt (the instance is not "
+        "yet shared).  The annotation is the documented concurrency "
+        "contract — this rule is what keeps it true.")
 
     def check(self, ctx: ModuleContext) -> Iterator[RawFinding]:
-        if not ctx.key.endswith(ctx.config.all_export_warning_suffix):
+        guards = guard_annotations(ctx.tree, ctx.lines)
+        if not guards:
             return
-        exported = DunderAllRule._exported(ctx.tree)
-        if exported is None:
-            return
-        names, _ = exported
-        listed = set(names)
-        for node in ctx.tree.body:
-            if not isinstance(node, ast.ImportFrom):
+        for site in mutation_sites(ctx.tree):
+            lock = guards.get(site.attr)
+            if lock is None:
                 continue
-            for alias in node.names:
-                local = alias.asname or alias.name
-                if (not local.startswith("_") and alias.name != "*"
-                        and local not in listed):
-                    yield (node.lineno, node.col_offset,
-                           f"{local!r} is re-exported by this package "
-                           f"__init__ but missing from __all__")
+            owner = site.attr.rsplit(".", 1)[0]
+            if (site.func == f"{owner}.__init__"
+                    or f"{owner}.{lock}" in site.locks):
+                continue
+            yield (site.line, site.col,
+                   f"{site.func}() mutates {site.attr} outside its "
+                   f"declared guard; the guarded-by({lock}) contract "
+                   f"requires 'with self.{lock}:' around every "
+                   f"mutation")
+
+
+# ----------------------------------------------------------------------
+# RNG stream-tag discipline
+# ----------------------------------------------------------------------
+#: Resolved callables whose first list argument is a SeedSequence
+#: entropy key (``[seed, TAG, ...]``).
+SEED_KEY_FACTORIES = frozenset({
+    "numpy.random.default_rng", "numpy.random.SeedSequence",
+})
+
+
+class TagUse(NamedTuple):
+    """One value in the tag slot of a seed-derivation expression."""
+
+    kind: str      #: "lit" | "const" | "ref" (a STREAM_TAGS member)
+    value: int     #: literal / constant value (0 for refs)
+    name: str      #: constant name or resolved dotted ref ("" for lit)
+    context: str   #: "key" (entropy list) | "scalar" (reseed arith)
+    line: int
+    col: int
+
+
+def _module_consts(tree: ast.Module) -> Dict[str, int]:
+    """Module-level ``NAME = <int>`` constants (tag-candidate table)."""
+    consts: Dict[str, int] = {}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Constant)
+                and type(node.value.value) is int):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    consts[target.id] = node.value.value
+    return consts
+
+
+def stream_tag_uses(tree: ast.Module,
+                    imports: ImportMap) -> List[TagUse]:
+    """Every tag slot of ``default_rng([seed, TAG, ...])``,
+    ``SeedSequence(spawn_key=...)`` and ``x.reseed(seed + TAG * n)``.
+    """
+    consts = _module_consts(tree)
+    uses: List[TagUse] = []
+
+    def classify(node: ast.AST, context: str) -> None:
+        if isinstance(node, ast.Constant):
+            # Arithmetic around a reseed tag holds small factors (1).
+            if type(node.value) is int and (context == "key"
+                                            or node.value > 1):
+                uses.append(TagUse("lit", node.value, "", context,
+                                   node.lineno, node.col_offset))
+        elif isinstance(node, ast.Name):
+            if node.id in consts:
+                uses.append(TagUse("const", consts[node.id], node.id,
+                                   context, node.lineno,
+                                   node.col_offset))
+        elif isinstance(node, ast.Attribute):
+            dotted = imports.resolve(node)
+            if dotted is not None and "STREAM_TAGS." in dotted:
+                uses.append(TagUse("ref", 0, dotted, context,
+                                   node.lineno, node.col_offset))
+
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call):
+            continue
+        if imports.resolve(call.func) in SEED_KEY_FACTORIES:
+            if (call.args and isinstance(call.args[0], ast.List)
+                    and len(call.args[0].elts) >= 2):
+                classify(call.args[0].elts[1], "key")
+            for keyword in call.keywords:
+                if (keyword.arg == "spawn_key"
+                        and isinstance(keyword.value,
+                                       (ast.List, ast.Tuple))):
+                    for elt in keyword.value.elts:
+                        classify(elt, "key")
+        elif (isinstance(call.func, ast.Attribute)
+                and call.func.attr == "reseed"):
+            for arg in call.args:
+                if isinstance(arg, ast.Constant):
+                    continue   # plain reseed(seed) has no tag slot
+                for sub in ast.walk(arg):
+                    classify(sub, "scalar")
+    return uses
+
+
+@register
+class StreamTagRule(Rule):
+    """RNG stream tags are spelled ``STREAM_TAGS.<NAME>``."""
+
+    id = "REP801"
+    title = "stream-tag-registry"
+    description = (
+        "the tag slot of a derived-stream key (default_rng([seed, "
+        "TAG, ...]), SeedSequence(spawn_key=...), reseed(seed + TAG * "
+        "n)) must be spelled STREAM_TAGS.<NAME> from the central "
+        "repro.nn.rng registry: inline literals and module-local "
+        "constants recreate the comment-maintained tag namespace "
+        "whose collisions silently correlate streams the "
+        "bit-identical-replay contract needs independent.")
+
+    def check(self, ctx: ModuleContext) -> Iterator[RawFinding]:
+        if ctx.key == ctx.config.stream_tag_registry_key:
+            return          # the registry defines tags, it uses none
+        for use in stream_tag_uses(ctx.tree, ctx.imports):
+            where = ("entropy key" if use.context == "key"
+                     else "reseed expression")
+            if use.kind == "lit":
+                yield (use.line, use.col,
+                       f"inline stream tag {use.value} in a "
+                       f"seed-derivation {where}; register it in "
+                       f"repro.nn.rng.STREAM_TAGS and spell it "
+                       f"STREAM_TAGS.<NAME>")
+            elif use.kind == "const":
+                yield (use.line, use.col,
+                       f"module-local stream tag {use.name} (= "
+                       f"{use.value}) in a seed-derivation {where}; "
+                       f"move it into repro.nn.rng.STREAM_TAGS")
 
 
 def all_rules() -> List[Rule]:
     """Fresh instances of every registered rule, in id order."""
     return [RULES[rule_id]() for rule_id in sorted(RULES)]
-
-
-# ----------------------------------------------------------------------
-# REP6xx: whole-program rules (import graph / layering / dataflow)
-# ----------------------------------------------------------------------
-#: ``(module_name, line, col, message)`` yielded by graph rules.
-RawGraphFinding = Tuple[str, int, int, str]
-
-
-class GraphRule:
-    """Whole-program rule: checks the project graph, not one module.
-
-    Graph rules run after every file's summary is available (fresh or
-    replayed from the incremental cache) and may relate any module to
-    any other.  ``check_project`` yields findings keyed by dotted
-    module name; the engine maps them back to paths and applies the
-    same noqa/baseline suppression channels as per-file rules.
-    """
-
-    id: str = ""
-    title: str = ""
-    severity: Severity = Severity.ERROR
-    description: str = ""
-
-    def check_project(self, project: "ProjectGraph",
-                      config: AnalysisConfig,
-                      ) -> Iterator[RawGraphFinding]:
-        raise NotImplementedError
-
-
-GRAPH_RULES: Dict[str, Type[GraphRule]] = {}
-
-
-def register_graph(cls: Type[GraphRule]) -> Type[GraphRule]:
-    if cls.id in GRAPH_RULES or cls.id in RULES:
-        raise ValueError(f"duplicate rule id {cls.id}")
-    GRAPH_RULES[cls.id] = cls
-    return cls
-
-
-def _layer_rank(key: str,
-                ranks: Dict[str, int]) -> Optional[int]:
-    """Rank of the longest matching key prefix, if any."""
-    best: Optional[Tuple[int, int]] = None
-    for prefix, rank in ranks.items():
-        if key == prefix or key.startswith(prefix):
-            if best is None or len(prefix) > best[0]:
-                best = (len(prefix), rank)
-    return best[1] if best else None
-
-
-@register_graph
-class ImportCycleRule(GraphRule):
-    """Import cycles make initialisation order a load-bearing accident."""
-
-    id = "REP601"
-    title = "import-cycle"
-    severity = Severity.ERROR
-    description = (
-        "modules in an import cycle initialise in whatever order the "
-        "first importer happened to trigger — re-export shims and "
-        "partially-initialised modules follow.  Break the cycle by "
-        "moving the shared piece down a layer.  Type-only "
-        "(TYPE_CHECKING) and function-deferred imports are exempt: "
-        "they cannot create import-time circularity.")
-
-    def check_project(self, project: "ProjectGraph",
-                      config: AnalysisConfig,
-                      ) -> Iterator[RawGraphFinding]:
-        for cycle in project.cycles():
-            edge = project.edge_between(cycle[0],
-                                        cycle[1 % len(cycle)])
-            line, col = (edge.line, edge.col) if edge else (1, 0)
-            chain = " -> ".join(cycle + [cycle[0]])
-            yield (cycle[0], line, col,
-                   f"import cycle: {chain}")
-
-
-@register_graph
-class LayeringRule(GraphRule):
-    """Imports must respect the declared layer DAG."""
-
-    id = "REP602"
-    title = "layering"
-    severity = Severity.ERROR
-    description = (
-        "the layer contract (analysis.config.LAYER_RANKS: nn/index/"
-        "noise/datasets -> core -> baselines/eval -> datalake -> "
-        "experiments/cli, with obs/analysis importable everywhere) "
-        "keeps low layers reusable and the dependency graph acyclic "
-        "by construction; importing upward violates it.")
-
-    def check_project(self, project: "ProjectGraph",
-                      config: AnalysisConfig,
-                      ) -> Iterator[RawGraphFinding]:
-        ranks = config.layer_ranks
-        for module, summary in sorted(project.modules.items()):
-            source_rank = _layer_rank(summary.key, ranks)
-            for edge in project.edges.get(module, ()):
-                target = project.modules.get(edge.target)
-                if target is None:
-                    continue
-                if edge.typeonly or source_rank is None:
-                    continue
-                target_rank = _layer_rank(target.key, ranks)
-                if target_rank is None or target_rank <= source_rank:
-                    continue
-                yield (module, edge.line, edge.col,
-                       f"layering violation: {summary.key} (layer "
-                       f"{source_rank}) imports {target.key} (layer "
-                       f"{target_rank}); dependencies must point "
-                       f"down the layer DAG")
-
-
-@register_graph
-class DeadExportRule(GraphRule):
-    """Public exports nobody imports are API surface without users."""
-
-    id = "REP603"
-    title = "dead-export"
-    severity = Severity.WARNING
-    description = (
-        "a name listed in a module's __all__ that no other scanned "
-        "module imports or references is dead public API — it rots "
-        "silently and widens the compatibility surface for free.  "
-        "Delete it, underscore it, or grandfather it in the baseline "
-        "with a justification (package __init__ re-export hubs are "
-        "exempt; references from tests don't count as use).")
-
-    def check_project(self, project: "ProjectGraph",
-                      config: AnalysisConfig,
-                      ) -> Iterator[RawGraphFinding]:
-        uses = project.symbol_uses()
-        for module, summary in sorted(project.modules.items()):
-            if summary.is_package:
-                continue
-            exports = summary.symbols.exports
-            if not exports:
-                continue
-            for name in exports:
-                if (module, name) in uses:
-                    continue
-                yield (module, summary.symbols.exports_line,
-                       summary.symbols.exports_col,
-                       f"public symbol {name!r} is exported in "
-                       f"__all__ but never imported or referenced by "
-                       f"another scanned module")
-
-
-@register_graph
-class RngThreadingRule(GraphRule):
-    """A held Generator must be threaded into every RNG consumer."""
-
-    id = "REP604"
-    title = "rng-threading"
-    severity = Severity.ERROR
-    description = (
-        "a function that accepts or creates a seeded Generator but "
-        "calls a project function that declares an optional rng-like "
-        "parameter without binding it silently splits the random "
-        "stream: the callee falls back to its own default and the "
-        "caller's seed no longer controls the draw (call-graph-aware "
-        "extension of REP102).  Pass the Generator through, or noqa "
-        "with a justification when the callee's randomness is "
-        "deliberately independent.")
-
-    def check_project(self, project: "ProjectGraph",
-                      config: AnalysisConfig,
-                      ) -> Iterator[RawGraphFinding]:
-        rng_names = config.rng_param_names
-        for module, summary in sorted(project.modules.items()):
-            for function in summary.functions.functions.values():
-                if not function.holds_rng:
-                    continue
-                for call in function.calls:
-                    callee = project.resolve_call(module, call.callee)
-                    if callee is None:
-                        continue
-                    param = self._unbound_rng_param(
-                        call, callee, rng_names)
-                    if param is None:
-                        continue
-                    yield (module, call.line, call.col,
-                           f"{function.qualname} holds a Generator "
-                           f"but calls {callee.qualname}() without "
-                           f"binding its optional {param!r} "
-                           f"parameter; thread the rng through")
-
-    @staticmethod
-    def _unbound_rng_param(call, callee,
-                           rng_names: Tuple[str, ...]) -> Optional[str]:
-        if call.has_star or call.has_kwstar:
-            return None            # may bind it dynamically
-        for name in rng_names:
-            index = callee.param_index(name)
-            if index is None or not callee.params[index].has_default:
-                continue
-            if name in call.kwnames:
-                continue
-            if call.npos > index:
-                continue
-            return name
-        return None
-
-
-def all_graph_rules() -> List[GraphRule]:
-    """Fresh instances of every registered graph rule, in id order."""
-    return [GRAPH_RULES[rule_id]() for rule_id in sorted(GRAPH_RULES)]

@@ -9,9 +9,7 @@ Usage::
     python -m repro trace -o trace.json
     python -m repro trace --baseline benchmarks/baselines/trace_smoke.json
     python -m repro chaos --fail-stage iteration --fail-stage vote
-    python -m repro lint src --format sarif
-    python -m repro deps --cycles
-    python -m repro deps --why repro.core.enld repro.nn.train
+    python -m repro lint src
 
 ``run`` executes one of the paper's figure/table drivers and prints the
 paper-style table; ``demo`` runs a minimal end-to-end detection;
@@ -623,9 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_versions.set_defaults(fn=cmd_versions)
 
     from .analysis.cli import add_parser as add_lint_parser
-    from .analysis.deps import add_parser as add_deps_parser
     add_lint_parser(sub)
-    add_deps_parser(sub)
     return parser
 
 

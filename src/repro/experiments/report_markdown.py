@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 #: The paper's headline numbers, quoted in §I and §V.
 PAPER_VALUES: Dict[str, Dict] = {
@@ -43,6 +43,22 @@ def _pct(x: float) -> str:
     return f"{x:.4f}"
 
 
+def _mean(values: List[float]) -> float:
+    return sum(values) / len(values)
+
+
+def _mean_speedups(data: dict) -> Optional[Tuple[float, float]]:
+    """ENLD's mean (wall-clock, work-model) speedup over Topofilter."""
+    enld = [block["enld"] for block in data["per_noise_rate"].values()]
+    speedups = [e["speedup_over_topofilter"] for e in enld
+                if e.get("speedup_over_topofilter") is not None]
+    works = [e["work_speedup_over_topofilter"] for e in enld
+             if e.get("work_speedup_over_topofilter") is not None]
+    if not speedups or not works:
+        return None
+    return _mean(speedups), _mean(works)
+
+
 def _method_section(name: str, fig_key: str, title: str,
                     results_dir: str) -> str:
     data = _load(results_dir, name)
@@ -63,16 +79,9 @@ def _method_section(name: str, fig_key: str, title: str,
     for method, f1 in sorted(data["mean_f1"].items(),
                              key=lambda kv: -kv[1]):
         lines.append(f"| {method} | {_pct(f1)} |")
-    eta_keys = list(data["per_noise_rate"])
-    speedups = [data["per_noise_rate"][k]["enld"].get(
-        "speedup_over_topofilter") for k in eta_keys]
-    works = [data["per_noise_rate"][k]["enld"].get(
-        "work_speedup_over_topofilter") for k in eta_keys]
-    speedups = [s for s in speedups if s is not None]
-    works = [w for w in works if w is not None]
-    if speedups:
-        mean_s = sum(speedups) / len(speedups)
-        mean_w = sum(works) / len(works)
+    means = _mean_speedups(data)
+    if means is not None:
+        mean_s, mean_w = means
         lines.append("")
         lines.append(f"ENLD vs Topofilter per-request speedup: "
                      f"**{mean_s:.2f}x** wall-clock, **{mean_w:.2f}x** "
@@ -97,13 +106,22 @@ def _fig3_section(results_dir: str) -> str:
     lines.append("")
     lines.append("| noise | origin | random | nearest_only | nearest_related |")
     lines.append("|---|---|---|---|---|")
+    strategies = ("origin", "random", "nearest_only", "nearest_related")
     for eta, block in data.items():
         lines.append(f"| {eta} | " + " | ".join(
-            _pct(block[s]) for s in ("origin", "random", "nearest_only",
-                                     "nearest_related")) + " |")
+            _pct(block[s]) for s in strategies) + " |")
+    means = {s: _mean([block[s] for block in data.values()])
+             for s in strategies}
+    lowest = min(strategies, key=means.__getitem__)
+    wins = sum(min(strategies, key=block.__getitem__) == "nearest_related"
+               for block in data.values())
     lines.append("")
-    lines.append("Shape check: nearest-related attains the lowest mean "
-                 "loss — Corollary 3's prediction.")
+    lines.append(
+        f"Measured: {lowest} attains the lowest mean loss "
+        f"({_pct(means[lowest])}; nearest_related "
+        f"{_pct(means['nearest_related'])}), and nearest_related is "
+        f"lowest at {wins} of {len(data)} noise rates. Corollary 3 "
+        f"predicts nearest_related lowest.")
     return "\n".join(lines)
 
 
@@ -217,6 +235,7 @@ def _table2_section(results_dir: str) -> str:
         return "\n".join(lines)
     lines.append("| noise | paper origin→update | measured origin→update |")
     lines.append("|---|---|---|")
+    gains = []
     for i, (eta, block) in enumerate(sorted(data.items())):
         p_o = paper["origin"][i] if i < len(paper["origin"]) else None
         p_u = paper["update"][i] if i < len(paper["update"]) else None
@@ -225,10 +244,15 @@ def _table2_section(results_dir: str) -> str:
             f"| {eta} | {paper_cell} | "
             f"{block['origin_accuracy']:.4f} → "
             f"{block['update_accuracy']:.4f} |")
+        gains.append((block["update_accuracy"]
+                      - block["origin_accuracy"], eta))
+    improved = sum(gain > 0 for gain, _eta in gains)
     lines.append("")
-    lines.append("Shape check: updating on the stringently-voted clean "
-                 "inventory improves generalisation; gains shrink as "
-                 "noise grows.")
+    lines.append(
+        f"Measured: updating on the stringently-voted clean inventory "
+        f"raises accuracy at {improved} of {len(gains)} noise rates; "
+        f"the gain ranges from {min(gains)[0]:+.4f} ({min(gains)[1]}) "
+        f"to {max(gains)[0]:+.4f} ({max(gains)[1]}).")
     return "\n".join(lines)
 
 
@@ -343,16 +367,29 @@ Documented for transparency; none affects the asserted shapes.
    at η=0.1) and harder high-noise regimes (lower F1 at η=0.4) than the
    real datasets; the noise-rate *trends* match.
 3. **Wall-clock speedups.** The ENLD-vs-Topofilter process-time ratio
-   depends on the inventory-to-arrival size ratio; the bench reproduces
-   the paper's ~4x on the EMNIST analog and ~3x elsewhere, with the
-   machine-independent work model (training sample-epochs) showing
-   5–6x throughout.
+   depends on the inventory-to-arrival size ratio. Paper vs measured
+   (wall-clock; work model in training sample-epochs): {speedups}.
 4. **Policy/ablation margins.** Fig. 10 and Fig. 14 gaps are a few F1
    points here versus ~14 points in the paper, because the contrastive
    advantage scales with candidate-pool size; the orderings still
    reproduce (benches assert them on the high-noise regime where the
    gaps concentrate).
 """
+
+
+def _deviations(results_dir: str) -> str:
+    rows = []
+    for name, key in (("fig04_emnist_methods", "fig4"),
+                      ("fig05_cifar_methods", "fig5"),
+                      ("fig07_tiny_methods", "fig7")):
+        data = _load(results_dir, name)
+        means = _mean_speedups(data) if data is not None else None
+        paper = PAPER_VALUES[key]
+        measured = ("not recorded" if means is None
+                    else f"{means[0]:.2f}x ({means[1]:.2f}x work)")
+        rows.append(f"{paper['dataset']} analog {paper['speedup']}x vs "
+                    f"{measured}")
+    return DEVIATIONS.format(speedups="; ".join(rows)).rstrip()
 
 
 def render_markdown(results_dir: str) -> str:
@@ -377,7 +414,7 @@ def render_markdown(results_dir: str) -> str:
     sections.append(_fig13_section(results_dir))
     sections.append(_fig14_section(results_dir))
     sections.append(_extensions_section(results_dir))
-    sections.append(DEVIATIONS.rstrip())
+    sections.append(_deviations(results_dir))
     return "\n\n".join(sections) + "\n"
 
 

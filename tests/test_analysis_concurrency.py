@@ -1,22 +1,17 @@
-"""Tests for the concurrency-safety analysis (REP7xx).
+"""Tests for the guarded-by contract rule (REP702).
 
-Covers extraction (locks, guards, spawns, blocking calls), the
-whole-program index (escape reachability, lock-order graph), each of
-the five rules on minimal fixture trees, the ``repro deps --locks``
-CLI, cache replay of the new summary facts, and the live-tree
-meta-tests that keep the real codebase REP7xx-clean.
+Covers the per-file extraction the rule is built on (guard
+annotations, ``self.attr`` mutation sites and the ``with self.<lock>:``
+stack held at each), the rule on minimal fixture trees, and the
+live-tree meta-test that pins every declared contract.
 """
 
-import dataclasses
+import ast
+import glob
 import os
 
 from repro.analysis import analyze_paths
-from repro.analysis.concurrency import (concurrency_index,
-                                        extract_concurrency,
-                                        render_locks_dot)
-from repro.analysis.config import DEFAULT_CONFIG
-from repro.analysis.deps import build_graph
-from repro.cli import main as cli_main
+from repro.analysis.rules import guard_annotations, mutation_sites
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LIVE_SRC = os.path.join(REPO_ROOT, "src")
@@ -41,298 +36,84 @@ def active(result, rule):
             if f.rule == rule and f.suppressed is None]
 
 
-#: Config whose escape roots point at the fixture service below.
-FIXTURE_CONFIG = dataclasses.replace(
-    DEFAULT_CONFIG,
-    concurrency_foreground_roots=(
-        "repro.datalake.svc:Service.poll",),
-    concurrency_shared_state_prefixes=("repro/datalake/",))
-
-_SERVICE_HEADER = """\
-import threading
-
-
-class Service:
-    def __init__(self):
-        self.results = []
-        self._lock = threading.Lock()
-
-    def start(self):
-        worker = threading.Thread(target=self._main)
-        worker.start()
-
-"""
-
-
-def service_module(worker_body, poll_body="        return len(self.results)\n"):
-    return (_SERVICE_HEADER
-            + "    def _main(self):\n" + worker_body + "\n"
-            + "    def poll(self):\n" + poll_body)
-
-
 # ----------------------------------------------------------------------
 # Extraction
 # ----------------------------------------------------------------------
 class TestExtraction:
-    def parse(self, source, lines=True):
-        import ast
-        from repro.analysis.rules import ImportMap
-        tree = ast.parse(source)
-        return extract_concurrency(
-            tree, ImportMap(tree),
-            source.splitlines() if lines else None)
+    def sites(self, source):
+        return mutation_sites(ast.parse(source))
 
     def test_lock_acquires_and_nesting(self):
-        facts = self.parse(
-            "import threading\n"
+        (site,) = self.sites(
             "class C:\n"
             "    def m(self):\n"
             "        with self._lock:\n"
             "            with self._swap_lock:\n"
-            "                pass\n")
-        assert [(a.lock, a.held) for a in facts.acquires] == [
-            ("C._lock", ()), ("C._swap_lock", ("C._lock",))]
+            "                self.a = 1\n")
+        assert site.locks == ("C._lock", "C._swap_lock")
 
     def test_non_lock_with_is_not_an_acquire(self):
-        facts = self.parse(
+        (site,) = self.sites(
             "class C:\n"
             "    def m(self):\n"
             "        with open('f') as fh:\n"
-            "            fh.read()\n")
-        assert facts.acquires == []
-        # ... but open() is recorded as a blocking call (no locks).
-        assert [(b.what, b.locks) for b in facts.blocking] == [
-            ("open()", ())]
+            "            self.data = fh.read()\n")
+        assert site.locks == ()
 
     def test_guard_annotation_in_init(self):
-        facts = self.parse(
+        source = (
             "class C:\n"
             "    def __init__(self):\n"
             "        self.items = []  # repro: guarded-by(_lock)\n")
-        assert facts.guards == {"C.items": "_lock"}
+        assert guard_annotations(ast.parse(source),
+                                 source.splitlines()) == {
+            "C.items": "_lock"}
 
-    def test_guard_annotation_needs_source_lines(self):
-        facts = self.parse(
+    def test_guard_annotation_in_class_body(self):
+        source = (
             "class C:\n"
-            "    def __init__(self):\n"
-            "        self.items = []  # repro: guarded-by(_lock)\n",
-            lines=False)
-        assert facts.guards == {}
+            "    total: int = 0  # repro: guarded-by(_lock)\n")
+        assert guard_annotations(ast.parse(source),
+                                 source.splitlines()) == {
+            "C.total": "_lock"}
 
     def test_mutation_kinds(self):
-        facts = self.parse(
+        sites = self.sites(
             "class C:\n"
             "    def m(self):\n"
             "        self.a = 1\n"
             "        self.b += 1\n"
             "        self.c[0] = 1\n"
-            "        self.d.append(1)\n")
-        kinds = {m.attr: m.kind for m in facts.mutations}
+            "        self.d.append(1)\n"
+            "        del self.e\n"
+            "        self.f, self.g = 1, 2\n")
+        kinds = {m.attr: m.kind for m in sites}
         assert kinds == {"C.a": "assign", "C.b": "aug",
-                        "C.c": "item", "C.d": "method:append"}
+                         "C.c": "item", "C.d": "method:append",
+                         "C.e": "del", "C.f": "assign",
+                         "C.g": "assign"}
 
     def test_mutation_locks_reflect_with_scope(self):
-        facts = self.parse(
+        sites = self.sites(
             "class C:\n"
             "    def m(self):\n"
             "        with self._lock:\n"
             "            self.a = 1\n"
             "        self.b = 2\n")
-        locks = {m.attr: m.locks for m in facts.mutations}
+        locks = {m.attr: m.locks for m in sites}
         assert locks == {"C.a": ("C._lock",), "C.b": ()}
 
     def test_nested_def_resets_lock_stack(self):
         # The nested function's body runs later, on an unknown thread
-        # with unknown locks — a sleep inside it is not "under lock".
-        facts = self.parse(
-            "import time\n"
+        # with unknown locks: a write inside it is not "under lock".
+        (site,) = self.sites(
             "class C:\n"
             "    def m(self):\n"
             "        with self._lock:\n"
             "            def cb():\n"
-            "                time.sleep(1)\n"
+            "                self.items.clear()\n"
             "            return cb\n")
-        assert [(b.what, b.locks) for b in facts.blocking] == [
-            ("time.sleep", ())]
-
-    def test_str_join_is_not_blocking(self):
-        facts = self.parse(
-            "class C:\n"
-            "    def m(self, parts):\n"
-            "        return ', '.join(parts)\n")
-        assert facts.blocking == []
-
-    def test_worker_join_is_blocking(self):
-        facts = self.parse(
-            "class C:\n"
-            "    def m(self, worker):\n"
-            "        with self._lock:\n"
-            "            worker.join(1.0)\n")
-        assert [(b.what, b.locks) for b in facts.blocking] == [
-            (".join()", ("C._lock",))]
-
-    def test_roundtrip_serialization(self):
-        source = (
-            "import threading\n"
-            "class C:\n"
-            "    def __init__(self):\n"
-            "        self.items = []  # repro: guarded-by(_lock)\n"
-            "    def m(self):\n"
-            "        with self._lock:\n"
-            "            self.items.append(1)\n"
-            "        threading.Thread(target=self.m)\n")
-        facts = self.parse(source)
-        from repro.analysis.concurrency import ModuleConcurrency
-        replayed = ModuleConcurrency.from_dict(facts.to_dict())
-        assert replayed.to_dict() == facts.to_dict()
-
-
-class TestSpawnEncoding:
-    def parse(self, source):
-        import ast
-        from repro.analysis.rules import ImportMap
-        tree = ast.parse(source)
-        return extract_concurrency(tree, ImportMap(tree),
-                                   source.splitlines())
-
-    def test_thread_bound_method_target(self):
-        facts = self.parse(
-            "import threading\n"
-            "class C:\n"
-            "    def m(self):\n"
-            "        threading.Thread(target=self.w)\n")
-        assert [(s.kind, s.target) for s in facts.spawns] == [
-            ("thread", "self:C.w")]
-
-    def test_process_module_level_target(self):
-        facts = self.parse(
-            "import multiprocessing\n"
-            "def top():\n"
-            "    pass\n"
-            "def go():\n"
-            "    multiprocessing.Process(target=top)\n")
-        assert [(s.kind, s.target) for s in facts.spawns] == [
-            ("process", "local:top")]
-
-    def test_process_lambda_and_nested_targets(self):
-        facts = self.parse(
-            "import multiprocessing\n"
-            "def go():\n"
-            "    def inner():\n"
-            "        pass\n"
-            "    multiprocessing.Process(target=lambda: 0)\n"
-            "    multiprocessing.Process(target=inner)\n")
-        assert sorted(s.target for s in facts.spawns) == [
-            "lambda", "nested:inner"]
-
-    def test_ctx_process_attr_fallback(self):
-        facts = self.parse(
-            "import multiprocessing\n"
-            "def top():\n"
-            "    pass\n"
-            "def go():\n"
-            "    ctx = multiprocessing.get_context()\n"
-            "    ctx.Process(target=top)\n")
-        assert [(s.kind, s.target) for s in facts.spawns] == [
-            ("process", "local:top")]
-
-
-# ----------------------------------------------------------------------
-# REP701: thread-escape
-# ----------------------------------------------------------------------
-class TestThreadEscape:
-    def test_unlocked_shared_mutation_flagged(self, tmp_path):
-        root = write_tree(tmp_path, {
-            "repro/__init__.py": "",
-            "repro/datalake/__init__.py": "",
-            "repro/datalake/svc.py": service_module(
-                "        self.results.append(1)\n"),
-        })
-        result = analyze_paths([root], config=FIXTURE_CONFIG)
-        findings = active(result, "REP701")
-        assert len(findings) == 1
-        assert "Service.results" in findings[0].message
-        assert "_main()" in findings[0].message
-
-    def test_locked_mutation_clean(self, tmp_path):
-        root = write_tree(tmp_path, {
-            "repro/__init__.py": "",
-            "repro/datalake/__init__.py": "",
-            "repro/datalake/svc.py": service_module(
-                "        with self._lock:\n"
-                "            self.results.append(1)\n"),
-        })
-        result = analyze_paths([root], config=FIXTURE_CONFIG)
-        assert "REP701" not in active_rules(result)
-
-    def test_guarded_attr_deferred_to_rep702(self, tmp_path):
-        # A declared contract moves enforcement to REP702: the
-        # unlocked write is reported once, as a contract violation.
-        source = service_module(
-            "        self.results.append(1)\n").replace(
-            "self.results = []",
-            "self.results = []  # repro: guarded-by(_lock)")
-        root = write_tree(tmp_path, {
-            "repro/__init__.py": "",
-            "repro/datalake/__init__.py": "",
-            "repro/datalake/svc.py": source,
-        })
-        result = analyze_paths([root], config=FIXTURE_CONFIG)
-        assert "REP701" not in active_rules(result)
-        assert len(active(result, "REP702")) == 1
-
-    def test_worker_private_state_clean(self, tmp_path):
-        # Mutated in the worker but never touched by the foreground
-        # path: not shared, not flagged.
-        root = write_tree(tmp_path, {
-            "repro/__init__.py": "",
-            "repro/datalake/__init__.py": "",
-            "repro/datalake/svc.py": service_module(
-                "        self.scratch = 1\n",
-                poll_body="        return 0\n"),
-        })
-        result = analyze_paths([root], config=FIXTURE_CONFIG)
-        assert "REP701" not in active_rules(result)
-
-    def test_foreground_write_worker_read_flagged(self, tmp_path):
-        root = write_tree(tmp_path, {
-            "repro/__init__.py": "",
-            "repro/datalake/__init__.py": "",
-            "repro/datalake/svc.py": service_module(
-                "        return len(self.results)\n",
-                poll_body="        self.results.append(1)\n"),
-        })
-        result = analyze_paths([root], config=FIXTURE_CONFIG)
-        findings = active(result, "REP701")
-        assert len(findings) == 1
-        assert "poll()" in findings[0].message
-
-    def test_out_of_scope_module_clean(self, tmp_path):
-        # Same race, but outside the configured shared-state prefixes.
-        config = dataclasses.replace(
-            FIXTURE_CONFIG,
-            concurrency_foreground_roots=(
-                "repro.other.svc:Service.poll",))
-        root = write_tree(tmp_path, {
-            "repro/__init__.py": "",
-            "repro/other/__init__.py": "",
-            "repro/other/svc.py": service_module(
-                "        self.results.append(1)\n"),
-        })
-        result = analyze_paths([root], config=config)
-        assert "REP701" not in active_rules(result)
-
-    def test_init_writes_exempt(self, tmp_path):
-        # __init__ constructs the instance before it is shared.
-        root = write_tree(tmp_path, {
-            "repro/__init__.py": "",
-            "repro/datalake/__init__.py": "",
-            "repro/datalake/svc.py": service_module(
-                "        with self._lock:\n"
-                "            self.results.append(1)\n"),
-        })
-        result = analyze_paths([root], config=FIXTURE_CONFIG)
-        assert "REP701" not in active_rules(result)
+        assert (site.attr, site.locks) == ("C.items", ())
 
 
 # ----------------------------------------------------------------------
@@ -400,363 +181,54 @@ class TestGuardedBy:
 
 
 # ----------------------------------------------------------------------
-# REP703: lock-order cycles
-# ----------------------------------------------------------------------
-class TestLockOrder:
-    def test_inverted_nesting_is_a_cycle(self, tmp_path):
-        root = write_tree(tmp_path, {
-            "repro/__init__.py": "",
-            "repro/locks.py": (
-                "import threading\n"
-                "class A:\n"
-                "    def __init__(self):\n"
-                "        self._a_lock = threading.Lock()\n"
-                "        self._b_lock = threading.Lock()\n"
-                "    def one(self):\n"
-                "        with self._a_lock:\n"
-                "            with self._b_lock:\n"
-                "                pass\n"
-                "    def two(self):\n"
-                "        with self._b_lock:\n"
-                "            with self._a_lock:\n"
-                "                pass\n"),
-        })
-        findings = active(analyze_paths([root]), "REP703")
-        assert len(findings) == 1
-        assert "lock-order cycle" in findings[0].message
-
-    def test_consistent_nesting_clean(self, tmp_path):
-        root = write_tree(tmp_path, {
-            "repro/__init__.py": "",
-            "repro/locks.py": (
-                "import threading\n"
-                "class A:\n"
-                "    def one(self):\n"
-                "        with self._a_lock:\n"
-                "            with self._b_lock:\n"
-                "                pass\n"
-                "    def two(self):\n"
-                "        with self._a_lock:\n"
-                "            with self._b_lock:\n"
-                "                pass\n"),
-        })
-        assert "REP703" not in active_rules(analyze_paths([root]))
-
-    def test_reacquisition_self_edge_flagged(self, tmp_path):
-        root = write_tree(tmp_path, {
-            "repro/__init__.py": "",
-            "repro/locks.py": (
-                "class A:\n"
-                "    def re(self):\n"
-                "        with self._lock:\n"
-                "            with self._lock:\n"
-                "                pass\n"),
-        })
-        findings = active(analyze_paths([root]), "REP703")
-        assert len(findings) == 1
-        assert "not reentrant" in findings[0].message
-
-    def test_cycle_through_call_edge(self, tmp_path):
-        # one() holds _a_lock and calls helper(), which takes _b_lock;
-        # two() nests them directly in the other order.
-        root = write_tree(tmp_path, {
-            "repro/__init__.py": "",
-            "repro/locks.py": (
-                "class A:\n"
-                "    def one(self):\n"
-                "        with self._a_lock:\n"
-                "            self.helper()\n"
-                "    def helper(self):\n"
-                "        with self._b_lock:\n"
-                "            pass\n"
-                "    def two(self):\n"
-                "        with self._b_lock:\n"
-                "            with self._a_lock:\n"
-                "                pass\n"),
-        })
-        findings = active(analyze_paths([root]), "REP703")
-        assert len(findings) == 1
-
-    def test_call_edge_without_inversion_clean(self, tmp_path):
-        root = write_tree(tmp_path, {
-            "repro/__init__.py": "",
-            "repro/locks.py": (
-                "class A:\n"
-                "    def one(self):\n"
-                "        with self._a_lock:\n"
-                "            self.helper()\n"
-                "    def helper(self):\n"
-                "        with self._b_lock:\n"
-                "            pass\n"),
-        })
-        result = analyze_paths([root])
-        assert "REP703" not in active_rules(result)
-        graph = build_graph([root])
-        index = concurrency_index(graph, DEFAULT_CONFIG)
-        assert [(e.source.split(":")[1], e.target.split(":")[1],
-                 e.via) for e in index.lock_edges] == [
-            ("A._a_lock", "A._b_lock", "A.helper")]
-
-
-# ----------------------------------------------------------------------
-# REP704: process-worker targets
-# ----------------------------------------------------------------------
-class TestProcessTarget:
-    def analyze(self, tmp_path, body):
-        root = write_tree(tmp_path, {
-            "repro/__init__.py": "",
-            "repro/proc.py": "import multiprocessing\n" + body,
-        })
-        return analyze_paths([root])
-
-    def test_bound_method_target_flagged(self, tmp_path):
-        result = self.analyze(tmp_path, (
-            "class R:\n"
-            "    def run(self):\n"
-            "        multiprocessing.Process(target=self._main)\n"
-            "    def _main(self):\n"
-            "        pass\n"))
-        findings = active(result, "REP704")
-        assert len(findings) == 1
-        assert "bound method" in findings[0].message
-
-    def test_lambda_target_flagged(self, tmp_path):
-        result = self.analyze(tmp_path, (
-            "def run():\n"
-            "    multiprocessing.Process(target=lambda: 0)\n"))
-        assert "lambda" in active(result, "REP704")[0].message
-
-    def test_nested_function_target_flagged(self, tmp_path):
-        result = self.analyze(tmp_path, (
-            "def run():\n"
-            "    def inner():\n"
-            "        pass\n"
-            "    multiprocessing.Process(target=inner)\n"))
-        assert "nested" in active(result, "REP704")[0].message
-
-    def test_module_level_target_clean(self, tmp_path):
-        result = self.analyze(tmp_path, (
-            "def worker():\n"
-            "    pass\n"
-            "def run():\n"
-            "    multiprocessing.Process(target=worker)\n"))
-        assert "REP704" not in active_rules(result)
-
-    def test_thread_bound_method_is_fine(self, tmp_path):
-        # Threads share the address space; bound methods are the norm.
-        root = write_tree(tmp_path, {
-            "repro/__init__.py": "",
-            "repro/thr.py": (
-                "import threading\n"
-                "class R:\n"
-                "    def run(self):\n"
-                "        threading.Thread(target=self._main)\n"
-                "    def _main(self):\n"
-                "        pass\n"),
-        })
-        assert "REP704" not in active_rules(analyze_paths([root]))
-
-
-# ----------------------------------------------------------------------
-# REP705: blocking under lock
-# ----------------------------------------------------------------------
-class TestBlockingUnderLock:
-    def test_sleep_under_lock_flagged(self, tmp_path):
-        root = write_tree(tmp_path, {
-            "repro/__init__.py": "",
-            "repro/poll.py": (
-                "import time\n"
-                "class P:\n"
-                "    def bad(self):\n"
-                "        with self._lock:\n"
-                "            time.sleep(0.1)\n"),
-        })
-        findings = active(analyze_paths([root]), "REP705")
-        assert len(findings) == 1
-        assert "time.sleep" in findings[0].message
-        assert findings[0].severity.value == "warning"
-
-    def test_sleep_outside_lock_clean(self, tmp_path):
-        root = write_tree(tmp_path, {
-            "repro/__init__.py": "",
-            "repro/poll.py": (
-                "import time\n"
-                "class P:\n"
-                "    def ok(self):\n"
-                "        with self._lock:\n"
-                "            pass\n"
-                "        time.sleep(0.1)\n"),
-        })
-        assert "REP705" not in active_rules(analyze_paths([root]))
-
-    def test_transitive_blocking_call_flagged(self, tmp_path):
-        root = write_tree(tmp_path, {
-            "repro/__init__.py": "",
-            "repro/poll.py": (
-                "import time\n"
-                "class P:\n"
-                "    def bad(self):\n"
-                "        with self._lock:\n"
-                "            self.helper()\n"
-                "    def helper(self):\n"
-                "        time.sleep(0.1)\n"),
-        })
-        findings = active(analyze_paths([root]), "REP705")
-        assert len(findings) == 1
-        assert "may block" in findings[0].message
-
-    def test_join_under_lock_flagged(self, tmp_path):
-        root = write_tree(tmp_path, {
-            "repro/__init__.py": "",
-            "repro/poll.py": (
-                "class P:\n"
-                "    def bad(self, worker):\n"
-                "        with self._lock:\n"
-                "            worker.join(1.0)\n"),
-        })
-        assert len(active(analyze_paths([root]), "REP705")) == 1
-
-    def test_noqa_suppresses(self, tmp_path):
-        root = write_tree(tmp_path, {
-            "repro/__init__.py": "",
-            "repro/poll.py": (
-                "import time\n"
-                "class P:\n"
-                "    def bad(self):\n"
-                "        with self._lock:\n"
-                "            time.sleep(0.1)  # repro: noqa[REP705]\n"),
-        })
-        result = analyze_paths([root])
-        assert "REP705" not in active_rules(result)
-        assert any(f.rule == "REP705" and f.suppressed == "noqa"
-                   for f in result.findings)
-
-
-# ----------------------------------------------------------------------
-# Cache replay
-# ----------------------------------------------------------------------
-class TestCacheReplay:
-    def test_warm_run_replays_concurrency_findings(self, tmp_path):
-        root = write_tree(tmp_path, {
-            "repro/__init__.py": "",
-            "repro/box.py": GUARDED_BOX + (
-                "    def bad(self):\n"
-                "        self.items.append(2)\n"),
-        })
-        cache_dir = str(tmp_path / "cache")
-        cold = analyze_paths([root], cache_dir=cache_dir)
-        warm = analyze_paths([root], cache_dir=cache_dir)
-        assert cold.cache_misses == 2 and warm.cache_hits == 2
-        assert ([f.fingerprint for f in cold.findings]
-                == [f.fingerprint for f in warm.findings])
-        assert len(active(warm, "REP702")) == 1
-
-
-# ----------------------------------------------------------------------
-# ``repro deps --locks``
-# ----------------------------------------------------------------------
-class TestLocksCLI:
-    def test_text_lists_edges(self, tmp_path, capsys):
-        root = write_tree(tmp_path, {
-            "repro/__init__.py": "",
-            "repro/locks.py": (
-                "class A:\n"
-                "    def m(self):\n"
-                "        with self._a_lock:\n"
-                "            with self._b_lock:\n"
-                "                pass\n"),
-        })
-        assert cli_main(["deps", root, "--locks"]) == 0
-        out = capsys.readouterr().out
-        assert "A._a_lock -> " in out and "A._b_lock" in out
-
-    def test_dot_format(self, tmp_path, capsys):
-        root = write_tree(tmp_path, {
-            "repro/__init__.py": "",
-            "repro/locks.py": (
-                "class A:\n"
-                "    def m(self):\n"
-                "        with self._a_lock:\n"
-                "            with self._b_lock:\n"
-                "                pass\n"),
-        })
-        assert cli_main(["deps", root, "--locks",
-                         "--format", "dot"]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("digraph repro_locks {")
-        assert '"repro.locks:A._a_lock" -> "repro.locks:A._b_lock"' \
-            in out
-
-    def test_cycle_exits_one_and_marks_red(self, tmp_path, capsys):
-        root = write_tree(tmp_path, {
-            "repro/__init__.py": "",
-            "repro/locks.py": (
-                "class A:\n"
-                "    def one(self):\n"
-                "        with self._a_lock:\n"
-                "            with self._b_lock:\n"
-                "                pass\n"
-                "    def two(self):\n"
-                "        with self._b_lock:\n"
-                "            with self._a_lock:\n"
-                "                pass\n"),
-        })
-        assert cli_main(["deps", root, "--locks",
-                         "--format", "dot"]) == 1
-        assert "color=red" in capsys.readouterr().out
-
-
-# ----------------------------------------------------------------------
 # Live tree
 # ----------------------------------------------------------------------
+#: Every ``guarded-by`` contract declared in src, by module key.
+DECLARED_GUARDS = {
+    "repro/datalake/updater.py": {
+        f"ModelUpdateService.{a}": "_lock"
+        for a in ("_outcome", "_error", "_done", "_gen")},
+    "repro/nn/featurecache.py": {
+        f"FeatureCache.{a}": "_lock"
+        for a in ("_entries", "hits", "misses", "evictions")},
+    "repro/obs/tracer.py": {
+        f"Tracer.{a}": "_lock" for a in ("counters", "metrics")},
+    "repro/datalake/shards.py": {
+        **{f"_Shard.{a}": "_lock"
+           for a in ("_x", "_y", "_true_y", "_ids", "_count", "_shm",
+                     "_memmap_path", "_memmap_gen")},
+        **{f"ShardedInventory.{a}": "_lock"
+           for a in ("_shards", "_sample_shape", "_dtype",
+                     "_order_shard", "_order_slot", "_total",
+                     "_save_gen")}},
+}
+
+
 class TestLiveTree:
     def test_no_unbaselined_rep7xx_findings(self):
-        # The concurrency contract of the real codebase: every REP7xx
+        # The concurrency contract of the real codebase: every REP702
         # finding is either fixed or explicitly suppressed.  New shared
         # state must arrive guarded (or argued inline via noqa).
         result = analyze_paths([LIVE_SRC])
-        rep7 = [f"{f.key}:{f.line} {f.rule} {f.message}"
+        rep7 = [f.format()
                 for f in result.findings
                 if f.rule.startswith("REP7") and f.suppressed is None]
         assert rep7 == []
 
-    def test_updater_spawn_sites_resolved(self):
-        # Escape analysis only protects what it can see: both worker
-        # entry points must keep resolving from their spawn sites.
-        graph = build_graph([LIVE_SRC])
-        index = concurrency_index(graph, DEFAULT_CONFIG)
-        targets = {(m, s.kind, s.target) for m, s in index.spawns}
-        assert ("repro.datalake.updater", "thread",
-                "self:ModelUpdateService._thread_main") in targets
-        assert ("repro.datalake.updater", "process",
-                "local:_process_worker") in targets
-        assert ("repro.datalake.updater",
-                "ModelUpdateService._thread_main") \
-            in index.worker_reachable
-
     def test_declared_guard_contracts(self):
-        # The annotations REP702 enforces on the live tree.
-        graph = build_graph([LIVE_SRC])
-        index = concurrency_index(graph, DEFAULT_CONFIG)
-        lock = "repro.datalake.updater:ModelUpdateService._lock"
-        for attr in ("_outcome", "_error", "_done", "_gen"):
-            key = f"repro.datalake.updater:ModelUpdateService.{attr}"
-            assert index.guards.get(key) == lock
-        cache_lock = "repro.nn.featurecache:FeatureCache._lock"
-        for attr in ("_entries", "hits", "misses", "evictions"):
-            key = f"repro.nn.featurecache:FeatureCache.{attr}"
-            assert index.guards.get(key) == cache_lock
-        tracer_lock = "repro.obs.tracer:Tracer._lock"
-        for attr in ("counters", "metrics"):
-            key = f"repro.obs.tracer:Tracer.{attr}"
-            assert index.guards.get(key) == tracer_lock
-
-    def test_lock_order_graph_acyclic(self):
-        graph = build_graph([LIVE_SRC])
-        index = concurrency_index(graph, DEFAULT_CONFIG)
-        assert index.lock_cycles() == []
-        # DOT export renders every live lock.
-        dot = render_locks_dot(index)
-        assert "ModelUpdateService._lock" in dot
-        assert "FeatureCache._lock" in dot
-        assert "Tracer._lock" in dot
+        # The 25 annotations REP702 enforces on the live tree: none
+        # may silently disappear (an unannotated attribute is not
+        # checked at all).
+        found = {}
+        pattern = os.path.join(LIVE_SRC, "repro", "**", "*.py")
+        for path in sorted(glob.glob(pattern, recursive=True)):
+            with open(path, encoding="utf-8") as fh:
+                source = fh.read()
+            guards = guard_annotations(ast.parse(source),
+                                       source.splitlines())
+            if guards:
+                key = os.path.relpath(path, LIVE_SRC).replace(os.sep,
+                                                              "/")
+                found[key] = guards
+        assert found == DECLARED_GUARDS
+        assert sum(map(len, found.values())) == 25

@@ -71,6 +71,35 @@ class TestRender:
             assert fh.read().startswith("# EXPERIMENTS")
 
 
+class TestDerivedText:
+    """Shape sentences are computed from the results, never fixed."""
+
+    def test_fig3_names_the_measured_lowest_strategy(self, results_dir):
+        text = render_markdown(results_dir)
+        assert ("nearest_related attains the lowest mean loss "
+                "(0.7000" in text)
+        assert "lowest at 1 of 1 noise rates" in text
+
+    def test_fig3_reports_a_contradicting_result(self, tmp_path):
+        with open(tmp_path / "fig03_contribution.json", "w") as fh:
+            json.dump({"eta=0.2": {"origin": 0.8, "random": 0.79,
+                                   "nearest_only": 0.60,
+                                   "nearest_related": 0.70}}, fh)
+        text = render_markdown(str(tmp_path))
+        assert "nearest_only attains the lowest mean loss" in text
+        assert "lowest at 0 of 1 noise rates" in text
+
+    def test_table2_gain_range(self, results_dir):
+        text = render_markdown(results_dir)
+        assert "raises accuracy at 1 of 1 noise rates" in text
+        assert "+0.0500 (eta=0.1)" in text
+
+    def test_speedup_deviation_from_results(self, results_dir):
+        text = render_markdown(results_dir)
+        assert "CIFAR100 analog 3.65x vs 3.10x (6.30x work)" in text
+        assert "EMNIST analog 4.09x vs not recorded" in text
+
+
 class TestCLIReport:
     def test_cli_report(self, results_dir, tmp_path, capsys):
         from repro.cli import main

@@ -1,10 +1,12 @@
 """Threaded stress tests for the async updater and shared caches.
 
-The REP7xx analysis (DESIGN.md §13) proves the locking discipline
-statically; these tests hammer it dynamically: foreground reader
-threads race in-flight thread-mode update workers across repeated full
-runs, and the run's verdicts and version lineage must stay
-bit-identical to the single-threaded inline-mode run every time.  A
+The per-file REP702 rule checks only that each declared
+``guarded-by`` contract holds at every write in its own module
+(DESIGN.md §9); whether the locking is enough is shown here, at
+runtime: foreground reader threads race in-flight thread-mode update
+workers across repeated full runs, and the run's verdicts and version
+lineage must stay bit-identical to the single-threaded inline-mode run
+every time.  A
 separate hammer drives :class:`FeatureCache` from many threads and
 checks the counter-conservation invariants its lock guarantees.
 """
