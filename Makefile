@@ -3,7 +3,7 @@
 PYTHON ?= python3
 
 .PHONY: install test bench report examples lint analyze typecheck \
-	trace-smoke chaos-smoke clean
+	trace-smoke chaos-smoke figure-smoke clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -19,6 +19,16 @@ bench:
 
 bench-record:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
+
+# The figure benches whose shape assertions are known to hold: the
+# index-backend ablation and Fig. 8's time cost (~3 s and ~35 s on two
+# cores).  Any failed shape assertion fails the target.  Like `bench`,
+# it rewrites their files under benchmarks/results/.
+# test_fig03_contribution.py is left out until its Fig. 3 shape is
+# mended (ROADMAP item 1).
+figure-smoke:
+	PYTHONPATH=src $(PYTHON) -m pytest -q --benchmark-only \
+		benchmarks/test_kdtree_speedup.py benchmarks/test_fig08_timecost.py
 
 report:
 	$(PYTHON) -m repro report --results benchmarks/results -o EXPERIMENTS.md

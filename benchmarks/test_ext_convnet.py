@@ -52,8 +52,8 @@ def _sweep():
                               setup_seconds=enld.setup_seconds)
         out[model_name] = {
             "f1": report.mean_f1,
-            "setup_seconds": report.cost.setup_seconds,
-            "mean_process_seconds": report.cost.mean_process_seconds,
+            "setup_seconds": report.setup_seconds,
+            "mean_process_seconds": report.mean_process_seconds,
         }
     return out
 

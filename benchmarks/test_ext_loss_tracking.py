@@ -42,9 +42,9 @@ def _sweep():
             "f1": rep.mean_f1,
             "precision": rep.mean_precision,
             "recall": rep.mean_recall,
-            "mean_process_seconds": rep.cost.mean_process_seconds,
+            "mean_process_seconds": rep.mean_process_seconds,
             "mean_process_train_samples":
-                rep.cost.mean_process_train_samples,
+                rep.mean_process_train_samples,
         }
         for name, rep in reports.items()
     }

@@ -35,27 +35,27 @@ def _setup():
     return features, labels, ambiguous_features, ambiguous_labels, cond
 
 
-def _run(use_kdtree: bool):
+def _run(backend: str):
     features, labels, af, al, cond = _setup()
-    index = ClassFeatureIndex(features, labels, use_kdtree=use_kdtree)
+    index = ClassFeatureIndex(features, labels, backend=backend)
     return contrastive_sampling(af, al, index, cond, k=3,
                                 rng=np.random.default_rng(1))
 
 
 def test_kdtree_contrastive_sampling(benchmark):
-    result = benchmark.pedantic(lambda: _run(use_kdtree=True),
+    result = benchmark.pedantic(lambda: _run(backend="kdtree"),
                                 rounds=3, iterations=1)
     assert len(result) == 3 * N_AMBIGUOUS
 
 
 def test_bruteforce_contrastive_sampling(benchmark):
-    result = benchmark.pedantic(lambda: _run(use_kdtree=False),
+    result = benchmark.pedantic(lambda: _run(backend="brute"),
                                 rounds=3, iterations=1)
     assert len(result) == 3 * N_AMBIGUOUS
 
     # Agreement + reported ablation (identity P̃ makes draws deterministic,
     # so both backends must pick neighbours at identical distances).
-    kd = _run(use_kdtree=True)
+    kd = _run(backend="kdtree")
     assert len(kd) == len(result)
     features, _, af, _, _ = _setup()
     # Same total selected-neighbour distance (ties aside).
@@ -68,10 +68,10 @@ def test_bruteforce_contrastive_sampling(benchmark):
     assert np.isclose(kd_d, bf_d, rtol=1e-9)
 
     t0 = time.perf_counter()
-    _run(use_kdtree=True)
+    _run(backend="kdtree")
     kd_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    _run(use_kdtree=False)
+    _run(backend="brute")
     bf_s = time.perf_counter() - t0
     emit("kdtree_speedup",
          series_table("backend", ["kdtree", "bruteforce"],

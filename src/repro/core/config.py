@@ -29,8 +29,8 @@ class ENLDConfig:
     use_kdtree: bool = True
 
     # -- hot path: index facade + feature caching (DESIGN.md §11) --------
-    #: "auto" lets repro.index.facade pick the fastest exact backend per
-    #: class; any concrete name ("kdtree", "balltree", "brute") pins it.
+    #: "auto" lets repro.index.facade pick the faster exact backend per
+    #: class; a concrete name ("kdtree" or "brute") pins it.
     #: All backends return identical neighbour sets, so this knob moves
     #: wall-clock only, never verdicts.
     index_backend: str = "auto"
@@ -82,10 +82,10 @@ class ENLDConfig:
             raise ValueError("inventory_train_fraction must be in (0, 1)")
         if self.mixup_alpha is not None and self.mixup_alpha <= 0:
             raise ValueError("mixup_alpha must be positive or None")
-        if self.index_backend not in ("auto", "kdtree", "balltree", "brute"):
+        if self.index_backend not in ("auto", "kdtree", "brute"):
             raise ValueError(
-                f"index_backend must be 'auto', 'kdtree', 'balltree' or "
-                f"'brute', got {self.index_backend!r}")
+                f"index_backend must be 'auto', 'kdtree' or 'brute', "
+                f"got {self.index_backend!r}")
         if self.feature_cache_entries < 0:
             raise ValueError("feature_cache_entries must be non-negative")
 

@@ -10,7 +10,10 @@ control, quarantine, the catalog, the journal, clean-pool accumulation
 and the update scheduler — stays serialized on the single **owner
 thread** running :meth:`run`.
 
-Design (mirrors the REP701–705 discipline the updater established):
+Design (the updater's threading discipline; DESIGN.md §9 maps each
+property to the test that holds it — the storm-parity and spawn-pool
+tests in ``tests/test_ingest_concurrent.py`` and the racing-reader
+tests in ``tests/test_updater_stress.py``):
 
 - **One owner thread, one event queue.**  Producer threads (one per
   stream) fetch arrivals and post them; the pool's completion callbacks
@@ -206,8 +209,10 @@ def _producer_loop(stream: ArrivalStream, fetch: Optional[FetchFn],
 
 # -- process mode ------------------------------------------------------
 # A spawn worker keeps its detection inputs in this module-level state
-# (REP704: module-level targets only, nothing bound or nested crosses
-# the pickle boundary).  The initializer installs only what is fixed
+# (module-level targets only, nothing bound or nested crosses the
+# pickle boundary; the spawn-pool tests TestProcessMode and
+# TestSpawnPoolSubprocess in tests/test_ingest_concurrent.py fail to
+# pickle anything else).  The initializer installs only what is fixed
 # for the pool's lifetime: the detector built from the config, the
 # seed and the retry budget.  Its initargs therefore stay a few hundred
 # bytes, and they must: spawn writes them down a pipe to the child,

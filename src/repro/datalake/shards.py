@@ -39,8 +39,10 @@ shard lock, readers snapshot under it.  The inventory lock guards the
 insertion log, shard creation and the first-add shape/dtype handshake;
 it is never held while a shard lock is taken (and vice versa).  The
 only nesting is the checkpoint lock serializing :meth:`save`, which
-sits strictly above both — so the REP703 lock-order graph stays
-acyclic.
+sits strictly above both — so the lock order stays acyclic.  A
+deadlock would hang the racing-thread tests in
+``tests/test_sharded_inventory.py`` (``test_concurrent_saves_are_serialized``,
+``test_concurrent_adds_are_linearizable``); DESIGN.md §9.
 """
 
 from __future__ import annotations

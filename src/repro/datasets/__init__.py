@@ -1,6 +1,5 @@
 """``repro.datasets`` — synthetic benchmark datasets and paper splits."""
 
-from .io import from_arrays, load_csv, load_npz, save_csv, save_npz
 from .registry import (available_presets, cifar100_like, emnist_like,
                        get_preset, tiny_imagenet_like, toy)
 from .splits import (ShardPlan, make_incremental_shards, paper_shard_plan,
@@ -13,5 +12,4 @@ __all__ = [
     "get_preset", "available_presets",
     "ShardPlan", "split_inventory_incremental", "make_incremental_shards",
     "paper_shard_plan",
-    "from_arrays", "save_npz", "load_npz", "save_csv", "load_csv",
 ]

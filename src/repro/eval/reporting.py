@@ -45,8 +45,8 @@ def method_comparison_table(reports: Dict[str, MethodReport],
             report.mean_precision,
             report.mean_recall,
             report.mean_f1,
-            report.cost.mean_process_seconds,
-            report.cost.setup_seconds,
+            report.mean_process_seconds,
+            report.setup_seconds,
         ])
     rows.sort(key=lambda r: -r[3])
     return format_table(
@@ -67,6 +67,6 @@ def series_table(x_name: str, xs: Sequence, columns: Dict[str, Sequence],
 
 def speedup_line(fast: MethodReport, slow: MethodReport) -> str:
     """The paper's 'X× detection speedup' phrasing."""
-    ratio = fast.cost.speedup_over(slow.cost)
+    ratio = fast.speedup_over(slow)
     return (f"{fast.method} achieves {ratio:.2f}x detection speedup on "
             f"average process time over {slow.method}")

@@ -16,7 +16,6 @@ from ..core.detector import DetectionResult
 from ..nn.data import LabeledDataset
 from ..obs import use_tracer
 from .metrics import DetectionScore, score_detection
-from .timer import CostProfile
 
 
 class Detector(Protocol):
@@ -38,20 +37,21 @@ class ShardOutcome:
 
 @dataclass
 class MethodReport:
-    """Aggregated outcomes of one method across a stream."""
+    """Aggregated outcomes of one method across a stream.
+
+    Cost is reported two ways (Figs. 8 and 12): wall-clock seconds
+    (setup vs. per-request process time, §V-A3), and a
+    machine-independent work model, the training sample-epochs that
+    drive the wall-clock on any substrate.
+    """
 
     method: str
     outcomes: List[ShardOutcome] = field(default_factory=list)
-    cost: CostProfile = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.cost is None:
-            self.cost = CostProfile(method=self.method)
+    setup_seconds: float = 0.0
+    setup_train_samples: int = 0
 
     def add(self, outcome: ShardOutcome) -> None:
         self.outcomes.append(outcome)
-        self.cost.add_request(outcome.process_seconds,
-                              outcome.train_samples)
 
     def _values(self, attr: str) -> np.ndarray:
         return np.array([getattr(o.score, attr) for o in self.outcomes])
@@ -72,6 +72,33 @@ class MethodReport:
     def std_f1(self) -> float:
         return float(self._values("f1").std()) if self.outcomes else 0.0
 
+    @property
+    def mean_process_seconds(self) -> float:
+        return (sum(o.process_seconds for o in self.outcomes)
+                / len(self.outcomes) if self.outcomes else 0.0)
+
+    @property
+    def mean_process_train_samples(self) -> float:
+        return (sum(o.train_samples for o in self.outcomes)
+                / len(self.outcomes) if self.outcomes else 0.0)
+
+    def speedup_over(self, other: "MethodReport") -> float:
+        """Mean-process-time speedup of *this* method over ``other``.
+
+        Matches the paper's "X× detection speedup on average process
+        time" phrasing: ``other.mean / self.mean``.
+        """
+        if self.mean_process_seconds == 0:
+            return float("inf")
+        return other.mean_process_seconds / self.mean_process_seconds
+
+    def work_speedup_over(self, other: "MethodReport") -> float:
+        """Same ratio in the work model (training sample-epochs)."""
+        if self.mean_process_train_samples == 0:
+            return float("inf")
+        return (other.mean_process_train_samples
+                / self.mean_process_train_samples)
+
     def summary(self) -> dict:
         return {
             "method": self.method,
@@ -79,8 +106,8 @@ class MethodReport:
             "precision": self.mean_precision,
             "recall": self.mean_recall,
             "f1": self.mean_f1,
-            "mean_process_seconds": self.cost.mean_process_seconds,
-            "setup_seconds": self.cost.setup_seconds,
+            "mean_process_seconds": self.mean_process_seconds,
+            "setup_seconds": self.setup_seconds,
         }
 
 
@@ -95,9 +122,8 @@ def run_detector(detector: Detector, arrivals: Iterable[LabeledDataset],
     whole stream, so per-stage spans from every arrival accumulate into
     one trace; ``None`` keeps whatever tracer is already active.
     """
-    report = MethodReport(method=method_name)
-    report.cost.setup_seconds = setup_seconds
-    report.cost.setup_train_samples = setup_train_samples
+    report = MethodReport(method=method_name, setup_seconds=setup_seconds,
+                          setup_train_samples=setup_train_samples)
     with use_tracer(tracer):
         for dataset in arrivals:
             result = detector.detect(dataset)

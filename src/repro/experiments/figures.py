@@ -29,9 +29,9 @@ def _report_dict(report: MethodReport) -> dict:
         "precision": report.mean_precision,
         "recall": report.mean_recall,
         "f1": report.mean_f1,
-        "mean_process_seconds": report.cost.mean_process_seconds,
-        "mean_process_train_samples": report.cost.mean_process_train_samples,
-        "setup_seconds": report.cost.setup_seconds,
+        "mean_process_seconds": report.mean_process_seconds,
+        "mean_process_train_samples": report.mean_process_train_samples,
+        "setup_seconds": report.setup_seconds,
     }
 
 
@@ -82,11 +82,10 @@ def method_comparison(preset: ExperimentPreset,
                       for name, rep in baseline_reports.items()}
         per_method["enld"] = _report_dict(enld_report)
         per_method["enld"]["speedup_over_topofilter"] = (
-            enld_report.cost.speedup_over(baseline_reports["topofilter"].cost)
+            enld_report.speedup_over(baseline_reports["topofilter"])
             if "topofilter" in baseline_reports else float("nan"))
         per_method["enld"]["work_speedup_over_topofilter"] = (
-            enld_report.cost.work_speedup_over(
-                baseline_reports["topofilter"].cost)
+            enld_report.work_speedup_over(baseline_reports["topofilter"])
             if "topofilter" in baseline_reports else float("nan"))
         results[f"eta={eta}"] = per_method
     summary = {
@@ -147,7 +146,7 @@ def fig6_networks(preset: ExperimentPreset,
         out[model_name] = {
             "enld": _report_dict(enld_rep),
             "topofilter": _report_dict(topo_rep),
-            "speedup": enld_rep.cost.speedup_over(topo_rep.cost),
+            "speedup": enld_rep.speedup_over(topo_rep),
         }
     return out
 

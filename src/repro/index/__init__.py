@@ -1,18 +1,18 @@
 """``repro.index`` — nearest-neighbour index structures.
 
-New callers should go through :mod:`repro.index.facade`
-(:func:`build_backend` with ``backend="auto"``) or
-:class:`ClassFeatureIndex` rather than constructing a concrete tree —
-the facade picks the fastest exact backend for the data shape and keeps
-results bit-identical across backends.
+Two exact backends answer every query: the paper's per-class KD-tree
+(:class:`KDTree`) and a batched-BLAS linear scan (:class:`BruteIndex`).
+:class:`ClassFeatureIndex` keeps one per observed label; with
+``backend="auto"`` the facade (:func:`build_backend`) picks per class
+from the data shape.  Both backends return bit-identical neighbour
+sets, so the choice moves wall-clock only.
 """
 
-from .balltree import BallTree
-from .classindex import BACKENDS, ClassFeatureIndex, build_index
-from .facade import (AUTO, BruteIndex, build_backend, resolve_backend,
-                     select_backend)
+from .classindex import ClassFeatureIndex, build_index
+from .facade import (AUTO, CONCRETE_BACKENDS, BruteIndex, build_backend,
+                     resolve_backend, select_backend)
 from .kdtree import KDTree, brute_force_knn
 
-__all__ = ["KDTree", "BallTree", "BruteIndex", "brute_force_knn",
-           "ClassFeatureIndex", "build_index", "BACKENDS", "AUTO",
+__all__ = ["KDTree", "BruteIndex", "brute_force_knn",
+           "ClassFeatureIndex", "build_index", "CONCRETE_BACKENDS", "AUTO",
            "build_backend", "resolve_backend", "select_backend"]

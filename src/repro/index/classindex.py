@@ -6,14 +6,13 @@ inventory samples — exactly the structure the paper's §IV-D
 implementation note prescribes for efficient repeated
 ``k_nearest(M̂(x, θ), H_j, k)`` queries.
 
-Four backend selections are supported:
+Three backend selections are supported:
 
-- ``"auto"`` (default for new callers) — per class, the facade picks
-  the fastest exact backend from the candidate-set size and
-  dimensionality (:func:`repro.index.facade.select_backend`);
-- ``"kdtree"`` (the paper's structure);
-- ``"balltree"`` — metric tree that prunes better in high dimensions;
-- ``"brute"``  — exact batched-BLAS linear scan.
+- ``"kdtree"`` (the default; the paper's structure);
+- ``"brute"``  — exact batched-BLAS linear scan;
+- ``"auto"`` — per class, the facade picks the faster of the two from
+  the candidate-set size and dimensionality
+  (:func:`repro.index.facade.select_backend`).
 
 All backends return identical neighbour sets, so detection verdicts
 never depend on the choice.  The index also supports *incremental
@@ -33,8 +32,6 @@ from ..obs import incr, trace_span
 from .facade import (AUTO, CONCRETE_BACKENDS, Backend, BruteIndex,
                      build_backend, supports_extend)
 
-BACKENDS = CONCRETE_BACKENDS
-
 
 class ClassFeatureIndex:
     """Per-class nearest-neighbour structures over sample features.
@@ -46,37 +43,32 @@ class ClassFeatureIndex:
         each candidate sample.
     labels:
         Observed labels of the candidates, shape ``(N,)``.
-    use_kdtree:
-        Legacy switch: ``False`` selects the brute-force backend
-        (overridden by an explicit ``backend``).
     backend:
-        One of :data:`BACKENDS` or ``"auto"``.
+        One of :data:`~repro.index.facade.CONCRETE_BACKENDS` or
+        ``"auto"``.
     source_indices:
         Caller-level positions aligned with ``features``; query results
         are reported in this coordinate system.
     """
 
     def __init__(self, features: np.ndarray, labels: np.ndarray,
-                 use_kdtree: bool = True, leaf_size: int = 16,
+                 leaf_size: int = 16,
                  source_indices: Optional[np.ndarray] = None,
-                 backend: Optional[str] = None):
+                 backend: str = "kdtree"):
         features = np.asarray(features, dtype=np.float64)
         labels = np.asarray(labels)
         if features.ndim != 2:
             raise ValueError(f"features must be (N, D), got {features.shape}")
         if labels.shape != (len(features),):
             raise ValueError("labels must align with features")
-        if backend is None:
-            backend = "kdtree" if use_kdtree else "brute"
-        if backend != AUTO and backend not in BACKENDS:
+        if backend != AUTO and backend not in CONCRETE_BACKENDS:
             raise ValueError(
                 f"unknown backend {backend!r}; available: "
-                f"{BACKENDS + (AUTO,)}")
+                f"{CONCRETE_BACKENDS + (AUTO,)}")
         self.features = features
         self.labels = labels
         self.backend = backend
         self.leaf_size = leaf_size
-        self.use_kdtree = backend == "kdtree"
         if source_indices is None:
             self.source_indices = np.arange(len(features))
         else:
@@ -108,9 +100,7 @@ class ClassFeatureIndex:
         tree = self._trees.get(int(cls))
         if tree is None:
             return None
-        if isinstance(tree, BruteIndex):
-            return "brute"
-        return type(tree).__name__.lower()
+        return "brute" if isinstance(tree, BruteIndex) else "kdtree"
 
     @property
     def classes(self) -> List[int]:
@@ -250,8 +240,7 @@ class ClassFeatureIndex:
 
 def build_index(features: np.ndarray, labels: np.ndarray,
                 restrict_to: Optional[Iterable[int]] = None,
-                use_kdtree: bool = True,
-                backend: Optional[str] = None) -> ClassFeatureIndex:
+                backend: str = "kdtree") -> ClassFeatureIndex:
     """Build a :class:`ClassFeatureIndex`, optionally restricted to a
     label subset (the paper's ``H'`` restricted to ``label(D)``)."""
     features = np.asarray(features)
@@ -262,5 +251,5 @@ def build_index(features: np.ndarray, labels: np.ndarray,
         features = features[allowed]
         labels = labels[allowed]
         source = source[allowed]
-    return ClassFeatureIndex(features, labels, use_kdtree=use_kdtree,
-                             backend=backend, source_indices=source)
+    return ClassFeatureIndex(features, labels, backend=backend,
+                             source_indices=source)

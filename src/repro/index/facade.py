@@ -16,7 +16,7 @@ This module therefore exposes three things:
   direct-difference refinement pass so returned distances are
   bit-identical to :func:`repro.index.kdtree.brute_force_knn`;
 - :func:`select_backend` — the dimensionality/size heuristic picking
-  between ``kdtree``, ``balltree`` and ``brute`` (see DESIGN.md §11);
+  between ``kdtree`` and ``brute`` (see DESIGN.md §11);
 - :func:`build_backend` — the factory used by
   :class:`repro.index.classindex.ClassFeatureIndex` and any caller that
   previously constructed a tree directly.
@@ -35,12 +35,10 @@ from typing import List, Tuple, Union
 import numpy as np
 
 from ..obs import incr
-from .balltree import BallTree
 from .kdtree import KDTree
 
-#: Concrete backend names (the historical public constant lives in
-#: :mod:`repro.index.classindex`; keep the facade self-contained).
-CONCRETE_BACKENDS = ("kdtree", "balltree", "brute")
+#: Concrete backend names.
+CONCRETE_BACKENDS = ("kdtree", "brute")
 
 #: Sentinel accepted everywhere a backend name is: pick per class.
 AUTO = "auto"
@@ -49,19 +47,15 @@ AUTO = "auto"
 #: one matmul beats walking any structure.
 SMALL_N_THRESHOLD = 512
 
-#: At or above this dimensionality axis-aligned KD splits prune so
-#: little that the Python walk loses to BLAS regardless of N.
-HIGH_DIM_THRESHOLD = 24
-
-#: Between the KD sweet spot and the brute regime, metric balls still
-#: prune usefully; below it KD-trees win on cheaper node tests.
+#: Above this dimensionality axis-aligned KD splits prune so little
+#: that the Python walk loses to BLAS regardless of N.
 KDTREE_MAX_DIM = 12
 
 #: Extra neighbours pulled before the exact-distance refinement pass,
 #: absorbing float round-off at the k-th-place boundary.
 _REFINE_PAD = 8
 
-Backend = Union[KDTree, BallTree, "BruteIndex"]
+Backend = Union[KDTree, "BruteIndex"]
 
 
 class BruteIndex:
@@ -78,7 +72,7 @@ class BruteIndex:
     recomputed from direct differences over the top ``k + pad``
     candidates, making results bit-identical to
     :func:`repro.index.kdtree.brute_force_knn` and therefore to the
-    tree backends.  Ties are broken by ascending point index.
+    KD-tree.  Ties are broken by ascending point index.
     """
 
     def __init__(self, points: np.ndarray):
@@ -140,7 +134,7 @@ class BruteIndex:
 
         Returns ``(dists, idx)`` of shape ``(Q, k')`` with
         ``k' = min(k, len(index))`` — ``(Q, 0)`` for an empty index,
-        matching the tree backends' :meth:`query_batch` contract.
+        matching :meth:`KDTree.query_batch`'s contract.
         """
         points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2:
@@ -182,14 +176,11 @@ def select_backend(n_points: int, dim: int) -> str:
     The heuristic (measured in ``benchmarks``, rationale in DESIGN.md
     §11): brute-force BLAS wins for small candidate sets (tree build
     cost dominates) and for high dimensions (no pruning survives);
-    KD-trees win for large low-dimensional sets; ball trees cover the
-    mid-dimensional band in between.
+    KD-trees win only for large low-dimensional sets.
     """
-    if n_points <= SMALL_N_THRESHOLD or dim >= HIGH_DIM_THRESHOLD:
-        return "brute"
-    if dim <= KDTREE_MAX_DIM:
+    if n_points > SMALL_N_THRESHOLD and dim <= KDTREE_MAX_DIM:
         return "kdtree"
-    return "balltree"
+    return "brute"
 
 
 def resolve_backend(backend: str, n_points: int, dim: int) -> str:
@@ -221,8 +212,6 @@ def build_backend(points: np.ndarray, backend: str = AUTO,
     incr(f"facade.selected.{chosen}")
     if chosen == "kdtree":
         return KDTree(points, leaf_size=leaf_size)
-    if chosen == "balltree":
-        return BallTree(points, leaf_size=leaf_size)
     return BruteIndex(points)
 
 

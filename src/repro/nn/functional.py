@@ -20,7 +20,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .rng import resolve_rng
 from .tensor import Tensor
 
 
@@ -109,18 +108,6 @@ def one_hot(labels: np.ndarray, num_classes: int,
     out = np.zeros((labels.shape[0], num_classes), dtype=dtype)
     out[np.arange(labels.shape[0]), labels] = 1.0
     return out
-
-
-def dropout(x: Tensor, p: float, training: bool,
-            rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Inverted dropout: scales activations by ``1/(1-p)`` at train time."""
-    if not training or p <= 0.0:
-        return x
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    rng = resolve_rng(rng)
-    mask = (rng.random(x.shape) >= p).astype(x.dtype) / (1.0 - p)
-    return x * Tensor(mask)
 
 
 # ----------------------------------------------------------------------

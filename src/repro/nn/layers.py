@@ -180,8 +180,7 @@ class Module:
         BatchNorm, and within rounding of it for one with BatchNorm.
         Never writes into ``x``: batches are views of dataset arrays,
         some of them read-only.  The result may alias ``x`` only for
-        layers that return their input unchanged (eval-mode dropout,
-        flatten).
+        layers that return their input unchanged (flatten).
         """
         raise NotImplementedError
 
@@ -197,7 +196,7 @@ class Module:
 
         Returns the output and a context holding what :meth:`backward`
         needs.  Honours ``training`` as ``forward`` does, updates the
-        same state (running statistics, dropout RNG draws) and never
+        same state (running statistics) and never
         writes into ``x``.  ``input_grad=False`` says the caller needs
         no gradient for ``x``; :meth:`backward` may then return
         ``None``.  This default runs ``forward`` on the Tensor graph;
@@ -394,35 +393,6 @@ class Tanh(Module):
 
     def backward(self, out, grad_out):
         return grad_out * (1.0 - out ** 2)
-
-
-class Dropout(Module):
-    """Inverted dropout driven by an explicit RNG for reproducibility."""
-
-    def __init__(self, p: float = 0.5,
-                 rng: Optional[np.random.Generator] = None):
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-        self.p = p
-        self.rng = resolve_rng(rng)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.dropout(x, self.p, self.training, self.rng)
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        return x
-
-    def train_forward(self, x, input_grad=True):
-        if not self.training or self.p <= 0.0:
-            return x, None
-        # The same draw, in the same forward order, as F.dropout.
-        mask = ((self.rng.random(x.shape) >= self.p).astype(x.dtype)
-                / (1.0 - self.p))
-        return x * mask, mask
-
-    def backward(self, mask, grad_out):
-        return grad_out if mask is None else grad_out * mask
 
 
 class BatchNorm1d(Module):

@@ -109,16 +109,6 @@ def _check_target(target_probs: np.ndarray,
     return target
 
 
-def mse_loss(pred: Tensor, target: Union[Tensor, np.ndarray],
-             reduction: str = "mean") -> Tensor:
-    """Mean squared error."""
-    target_t = target if isinstance(target, Tensor) else Tensor(target)
-    diff = pred - target_t
-    losses = (diff * diff).sum(axis=tuple(range(1, pred.ndim))) \
-        if pred.ndim > 1 else diff * diff
-    return _reduce(losses, reduction)
-
-
 def _reduce_array(losses: np.ndarray, reduction: str):
     """:func:`_reduce` on numpy: the reduced loss, plus the gradient of
     that loss with respect to each row's loss (``None`` when the loss

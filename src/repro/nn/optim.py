@@ -1,4 +1,4 @@
-"""Optimisers and learning-rate schedules for ``repro.nn``."""
+"""The SGD optimiser ``repro.nn`` trains with."""
 
 from __future__ import annotations
 
@@ -56,92 +56,3 @@ class SGD(Optimizer):
             else:
                 update = grad
             p.data -= self.lr * update
-
-
-class Adam(Optimizer):
-    """Adam optimiser (Kingma & Ba, 2015)."""
-
-    def __init__(self, params: List[Tensor], lr: float = 1e-3,
-                 betas: tuple = (0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0):
-        super().__init__(params, lr)
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
-        self._t = 0
-
-    def step(self) -> None:
-        self._t += 1
-        b1, b2 = self.beta1, self.beta2
-        bias1 = 1 - b1 ** self._t
-        bias2 = 1 - b2 ** self._t
-        for p, m, v in zip(self.params, self._m, self._v):
-            if p.grad is None:
-                continue
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            m *= b1
-            m += (1 - b1) * grad
-            v *= b2
-            v += (1 - b2) * grad * grad
-            m_hat = m / bias1
-            v_hat = v / bias2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-class StepLR:
-    """Multiply the optimiser's learning rate by ``gamma`` every ``step_size``."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int,
-                 gamma: float = 0.1):
-        if step_size <= 0:
-            raise ValueError("step_size must be positive")
-        self.optimizer = optimizer
-        self.step_size = step_size
-        self.gamma = gamma
-        self._epoch = 0
-
-    def step(self) -> None:
-        self._epoch += 1
-        if self._epoch % self.step_size == 0:
-            self.optimizer.lr *= self.gamma
-
-
-class CosineLR:
-    """Cosine annealing from the initial LR down to ``min_lr``."""
-
-    def __init__(self, optimizer: Optimizer, total_epochs: int,
-                 min_lr: float = 0.0):
-        if total_epochs <= 0:
-            raise ValueError("total_epochs must be positive")
-        self.optimizer = optimizer
-        self.base_lr = optimizer.lr
-        self.total_epochs = total_epochs
-        self.min_lr = min_lr
-        self._epoch = 0
-
-    def step(self) -> None:
-        self._epoch = min(self._epoch + 1, self.total_epochs)
-        cos = 0.5 * (1 + np.cos(np.pi * self._epoch / self.total_epochs))
-        self.optimizer.lr = self.min_lr + (self.base_lr - self.min_lr) * cos
-
-
-def clip_grad_norm(params: List[Tensor], max_norm: float) -> float:
-    """Clip gradients in-place to a maximum global L2 norm.
-
-    Returns the pre-clip norm, mirroring the torch API.
-    """
-    total = 0.0
-    for p in params:
-        if p.grad is not None:
-            total += float((p.grad ** 2).sum())
-    norm = float(np.sqrt(total))
-    if norm > max_norm and norm > 0:
-        scale = max_norm / norm
-        for p in params:
-            if p.grad is not None:
-                p.grad = p.grad * scale
-    return norm

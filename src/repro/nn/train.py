@@ -53,13 +53,8 @@ class TrainReport:
 def fit_epoch(model: Classifier, dataset: LabeledDataset,
               optimizer: Optimizer, rng: np.random.Generator,
               batch_size: int = 64, mixup_alpha: Optional[float] = None,
-              num_classes: Optional[int] = None,
-              augment_fn=None) -> tuple:
-    """Run one optimisation epoch; returns (mean loss, samples processed).
-
-    ``augment_fn(batch, rng)`` (see :mod:`repro.nn.augment`) is applied
-    to each input batch before the optional Mixup.
-    """
+              num_classes: Optional[int] = None) -> tuple:
+    """Run one optimisation epoch; returns (mean loss, samples processed)."""
     if len(dataset) == 0:
         return 0.0, 0
     model.train()
@@ -69,8 +64,6 @@ def fit_epoch(model: Classifier, dataset: LabeledDataset,
     classes = num_classes or model.num_classes
     for xb, yb in loader:
         xb = xb.reshape(len(xb), -1)
-        if augment_fn is not None:
-            xb = augment_fn(xb, rng).reshape(len(xb), -1)
         if mixup_alpha:
             mixed_x, mixed_t = mixup_batch(xb, yb, classes, rng,
                                            alpha=mixup_alpha)
@@ -97,8 +90,7 @@ def fit(model: Classifier, dataset: LabeledDataset,
         mixup_alpha: Optional[float] = None,
         validate_on: Optional[LabeledDataset] = None,
         keep_best: bool = False,
-        optimizer: Optional[Optimizer] = None,
-        augment_fn=None) -> TrainReport:
+        optimizer: Optional[Optimizer] = None) -> TrainReport:
     """Train ``model`` on ``dataset`` for ``epochs`` epochs.
 
     Parameters
@@ -120,8 +112,7 @@ def fit(model: Classifier, dataset: LabeledDataset,
     best_state = None
     for _ in range(epochs):
         loss, n = fit_epoch(model, dataset, opt, rng,
-                            batch_size=batch_size, mixup_alpha=mixup_alpha,
-                            augment_fn=augment_fn)
+                            batch_size=batch_size, mixup_alpha=mixup_alpha)
         report.epoch_losses.append(loss)
         report.samples_processed += n
         if validate_on is not None:

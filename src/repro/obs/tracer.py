@@ -6,8 +6,8 @@ loop.  :class:`Tracer` records exactly that decomposition as a tree of
 named spans, each accumulating two complementary costs:
 
 - **wall-clock seconds** (``perf_counter``, substrate-dependent);
-- **work** in *sample-epochs* — the machine-independent work model of
-  :mod:`repro.eval.timer`, deterministic for a fixed configuration and
+- **work** in *sample-epochs* — the machine-independent work model
+  :class:`repro.eval.runner.MethodReport` reports, deterministic for a fixed configuration and
   therefore safe to gate on in CI.
 
 Spans with the same name under the same parent are merged (``calls``

@@ -108,7 +108,7 @@ class TestAtomicWriteRule:
         assert len(findings) == 3
 
     def test_outside_datalake_not_flagged(self):
-        findings = analyze_source(self.SNIPPET, "repro/eval/export.py")
+        findings = analyze_source(self.SNIPPET, "repro/eval/reporting.py")
         assert rules_of(findings) == []
 
     def test_persistence_module_exempt(self):
@@ -183,12 +183,12 @@ class TestWallClockRule:
             "repro/obs/clock.py")
         assert rules_of(findings) == []
 
-    def test_eval_timer_flagged(self):
-        # eval.timer only aggregates measured seconds; reading a clock
+    def test_eval_runner_flagged(self):
+        # eval.runner only aggregates measured seconds; reading a clock
         # there would bypass obs like anywhere else.
         findings = analyze_source(
             "import time\nstart = time.perf_counter()\n",
-            "repro/eval/timer.py")
+            "repro/eval/runner.py")
         assert rules_of(findings) == ["REP401"]
 
     def test_sleep_is_not_a_clock_read(self):

@@ -21,6 +21,7 @@ class TestValidation:
         ("inventory_train_fraction", 0.0),
         ("inventory_train_fraction", 1.0),
         ("mixup_alpha", 0.0),
+        ("index_backend", "balltree"),
     ])
     def test_invalid_values(self, field, value):
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Tests for repro.eval (metrics, timer, runner, reporting)."""
+"""Tests for repro.eval (metrics, runner, cost, reporting)."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from repro.eval.metrics import (score_masks, score_trace,
 from repro.eval.reporting import (format_table, method_comparison_table,
                                   series_table, speedup_line)
 from repro.eval.runner import MethodReport, ShardOutcome, run_detector
-from repro.eval.timer import CostProfile
 from repro.obs.clock import Stopwatch
 from repro.noise import MISSING_LABEL
 from repro.nn.data import LabeledDataset
@@ -116,27 +115,38 @@ class TestScoreTrace:
         assert scores[1].precision == 1.0 and scores[1].recall == 1.0
 
 
-class TestCostProfile:
+def add_request(report, seconds, train_samples):
+    score = score_masks(np.array([True]), np.array([True]))
+    report.add(ShardOutcome("s", score, seconds, train_samples,
+                            make_result([True])))
+
+
+class TestMethodReportCost:
     def test_aggregation(self):
-        c = CostProfile(method="m", setup_seconds=2.0)
-        c.add_request(1.0, 100)
-        c.add_request(3.0, 300)
-        assert c.mean_process_seconds == 2.0
-        assert c.total_seconds == 6.0
-        assert c.mean_process_train_samples == 200
+        r = MethodReport(method="m", setup_seconds=2.0,
+                         setup_train_samples=7)
+        add_request(r, 1.0, 100)
+        add_request(r, 3.0, 300)
+        assert r.mean_process_seconds == 2.0
+        assert r.mean_process_train_samples == 200
+        assert r.setup_seconds == 2.0 and r.setup_train_samples == 7
+        assert r.summary()["mean_process_seconds"] == 2.0
 
     def test_speedups(self):
-        fast = CostProfile(method="fast")
-        slow = CostProfile(method="slow")
-        fast.add_request(1.0, 10)
-        slow.add_request(4.0, 50)
+        fast = MethodReport(method="fast")
+        slow = MethodReport(method="slow")
+        add_request(fast, 1.0, 10)
+        add_request(slow, 4.0, 50)
         assert fast.speedup_over(slow) == 4.0
         assert fast.work_speedup_over(slow) == 5.0
 
     def test_zero_time_speedup_inf(self):
-        a, b = CostProfile("a"), CostProfile("b")
-        b.add_request(1.0, 1)
+        a, b = MethodReport("a"), MethodReport("b")
+        add_request(b, 1.0, 1)
+        assert a.mean_process_seconds == 0.0
+        assert a.mean_process_train_samples == 0.0
         assert a.speedup_over(b) == float("inf")
+        assert a.work_speedup_over(b) == float("inf")
 
     def test_stopwatch(self):
         with Stopwatch() as sw:
@@ -153,7 +163,7 @@ class TestRunner:
                               [noisy, noisy], "default",
                               setup_seconds=1.5)
         assert len(report.outcomes) == 2
-        assert report.cost.setup_seconds == 1.5
+        assert report.setup_seconds == 1.5
         assert 0 <= report.mean_f1 <= 1
         summary = report.summary()
         assert summary["method"] == "default"
@@ -192,7 +202,7 @@ class TestReporting:
 
     def test_speedup_line(self):
         fast, slow = MethodReport("enld"), MethodReport("topo")
-        fast.cost.add_request(1.0, 1)
-        slow.cost.add_request(3.0, 1)
+        add_request(fast, 1.0, 1)
+        add_request(slow, 3.0, 1)
         line = speedup_line(fast, slow)
         assert "3.00x" in line and "enld" in line

@@ -8,10 +8,9 @@ verdicts depend only on the data — never on the backend choice.
 import numpy as np
 import pytest
 
-from repro.index.balltree import BallTree
-from repro.index.facade import (AUTO, CONCRETE_BACKENDS, HIGH_DIM_THRESHOLD,
-                                KDTREE_MAX_DIM, SMALL_N_THRESHOLD, BruteIndex,
-                                build_backend, resolve_backend, select_backend,
+from repro.index.facade import (AUTO, CONCRETE_BACKENDS, KDTREE_MAX_DIM,
+                                SMALL_N_THRESHOLD, BruteIndex, build_backend,
+                                resolve_backend, select_backend,
                                 supports_extend)
 from repro.index.kdtree import KDTree, brute_force_knn
 
@@ -93,10 +92,9 @@ class TestCrossBackendParity:
             backend = build_backend(pts, backend=name)
             results[name] = backend.query_batch(queries, k=k)
         ref_d, ref_i = results["brute"]
-        for name in ("kdtree", "balltree"):
-            d_, i_ = results[name]
-            assert np.array_equal(i_, ref_i), f"{name} indices differ"
-            assert np.array_equal(d_, ref_d), f"{name} distances differ"
+        d_, i_ = results["kdtree"]
+        assert np.array_equal(i_, ref_i), "kdtree indices differ"
+        assert np.array_equal(d_, ref_d), "kdtree distances differ"
 
 
 class TestExtend:
@@ -118,7 +116,6 @@ class TestExtend:
     def test_supports_extend(self):
         assert supports_extend(BruteIndex(np.zeros((1, 2))))
         assert not supports_extend(KDTree(np.zeros((1, 2))))
-        assert not supports_extend(BallTree(np.zeros((1, 2))))
 
 
 class TestSelection:
@@ -126,16 +123,18 @@ class TestSelection:
         assert select_backend(SMALL_N_THRESHOLD, 4) == "brute"
 
     def test_high_dim_goes_brute(self):
-        assert select_backend(10_000, HIGH_DIM_THRESHOLD) == "brute"
+        assert select_backend(10_000, 24) == "brute"
         assert select_backend(10_000, 64) == "brute"
 
     def test_low_dim_large_goes_kdtree(self):
         assert select_backend(SMALL_N_THRESHOLD + 1,
                               KDTREE_MAX_DIM) == "kdtree"
 
-    def test_mid_dim_large_goes_balltree(self):
-        assert select_backend(SMALL_N_THRESHOLD + 1,
-                              KDTREE_MAX_DIM + 1) == "balltree"
+    def test_former_balltree_band_goes_brute(self):
+        assert select_backend(600, KDTREE_MAX_DIM + 1) == "brute"
+        assert resolve_backend(AUTO, 600, KDTREE_MAX_DIM + 1) == "brute"
+        assert isinstance(build_backend(_cloud(600, KDTREE_MAX_DIM + 1)),
+                          BruteIndex)
 
     def test_resolve_passthrough_and_auto(self):
         assert resolve_backend("brute", 10_000, 2) == "brute"
@@ -145,10 +144,11 @@ class TestSelection:
     def test_resolve_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown backend"):
             resolve_backend("faiss", 10, 2)
+        with pytest.raises(ValueError, match="unknown backend"):
+            resolve_backend("balltree", 600, KDTREE_MAX_DIM + 1)
 
     def test_build_backend_types(self):
         assert isinstance(build_backend(_cloud(10, 64)), BruteIndex)
         assert isinstance(build_backend(_cloud(600, 4)), KDTree)
-        assert isinstance(build_backend(_cloud(600, 16)), BallTree)
         assert isinstance(
             build_backend(_cloud(600, 4), backend="brute"), BruteIndex)

@@ -84,26 +84,6 @@ class TestOneHot:
         assert F.one_hot(np.array([], dtype=int), 4).shape == (0, 4)
 
 
-class TestDropout:
-    def test_eval_mode_identity(self):
-        x = Tensor(np.ones((4, 4)))
-        assert F.dropout(x, 0.5, training=False) is x
-
-    def test_zero_p_identity(self):
-        x = Tensor(np.ones((4, 4)))
-        assert F.dropout(x, 0.0, training=True) is x
-
-    def test_scaling_preserves_expectation(self):
-        rng = np.random.default_rng(0)
-        x = Tensor(np.ones((200, 200)))
-        out = F.dropout(x, 0.3, training=True, rng=rng).data
-        assert abs(out.mean() - 1.0) < 0.02
-
-    def test_invalid_p(self):
-        with pytest.raises(ValueError):
-            F.dropout(Tensor(np.ones(3)), 1.0, training=True)
-
-
 def naive_conv2d(x, w, b, stride=1, padding=0):
     """Reference direct convolution for validation."""
     if padding:

@@ -10,7 +10,7 @@ from repro.datasets import generate, split_inventory_incremental, toy
 from repro.index.classindex import ClassFeatureIndex
 from repro.noise import corrupt_labels, pair_asymmetric
 
-BACKENDS = ("kdtree", "balltree", "brute", "auto")
+BACKENDS = ("kdtree", "brute", "auto")
 
 
 def _features_labels(n, d, num_classes, seed):
@@ -78,7 +78,7 @@ class TestIncrementalEqualsRebuild:
         with pytest.raises(ValueError):
             index.add(np.zeros((2, 4)), np.zeros(3, dtype=int))
 
-    @pytest.mark.parametrize("backend", ("balltree", "brute"))
+    @pytest.mark.parametrize("backend", ("kdtree", "brute"))
     def test_merge_matches_fresh_build(self, backend):
         f1, y1 = _features_labels(80, 6, 3, seed=10)
         f2, y2 = _features_labels(40, 6, 3, seed=11)
@@ -146,7 +146,6 @@ class TestDetectionVerdictParity:
         reference = self._run(world)  # auto + cache (defaults)
         for overrides in (
                 dict(index_backend="kdtree", feature_cache=False),
-                dict(index_backend="balltree"),
                 dict(index_backend="brute", feature_cache_entries=0),
                 dict(use_kdtree=False),
         ):

@@ -24,8 +24,8 @@ from repro.core.samplesets import compute_view
 from repro.nn.blocks import (DenseMLPBlock, ResidualConvBlock,
                              ResidualMLPBlock, TransitionMLP)
 from repro.nn.featurecache import FeatureCache
-from repro.nn.layers import (BatchNorm1d, Conv2d, Dropout, Flatten,
-                             LayerNorm, Linear, ReLU, Sequential, Tanh)
+from repro.nn.layers import (BatchNorm1d, Conv2d, Flatten, LayerNorm,
+                             Linear, ReLU, Sequential, Tanh)
 from repro.nn.metrics import evaluate_accuracy
 from repro.nn.models import (INFER_BATCH_ROWS, Classifier,
                              available_models, build_model)
@@ -109,7 +109,6 @@ LAYERS = {
                       (2, 7, 7)),
     "relu": (ReLU, (12,)),
     "tanh": (Tanh, (12,)),
-    "dropout": (lambda: Dropout(0.5, rng=_rng()), (12,)),
     "batchnorm": (lambda: BatchNorm1d(12), (12,)),
     "layernorm": (lambda: LayerNorm(12), (12,)),
     "flatten": (Flatten, (2, 3, 2)),

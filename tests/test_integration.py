@@ -72,7 +72,7 @@ class TestFullLifecycle:
                                   model_kwargs={"hidden": 48},
                                   train_epochs=15, seed=1)
         topo_rep = run_detector(topo, platform["arrivals"], "topofilter")
-        assert enld_rep.cost.work_speedup_over(topo_rep.cost) > 1.0
+        assert enld_rep.work_speedup_over(topo_rep) > 1.0
 
     def test_noise_rate_sensitivity(self, platform):
         """Detection stays meaningful across the paper's noise range."""

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.index.classindex import ClassFeatureIndex, build_index
+from repro.index.facade import CONCRETE_BACKENDS
 from repro.index.kdtree import KDTree, brute_force_knn
 
 point_clouds = hnp.arrays(
@@ -140,12 +141,12 @@ class TestRadiusQuery:
 
 
 class TestClassFeatureIndex:
-    def make(self, use_kdtree=True):
+    def make(self, backend="kdtree"):
         rng = np.random.default_rng(5)
         features = rng.normal(size=(40, 4))
         labels = np.repeat(np.arange(4), 10)
         return features, labels, ClassFeatureIndex(features, labels,
-                                                   use_kdtree=use_kdtree)
+                                                   backend=backend)
 
     def test_classes_listed(self):
         _, _, index = self.make()
@@ -169,8 +170,8 @@ class TestClassFeatureIndex:
         assert set(pos) == set(cls_rows[local])
 
     def test_kdtree_and_bruteforce_agree(self):
-        features, labels, tree_index = self.make(use_kdtree=True)
-        _, _, bf_index = self.make(use_kdtree=False)
+        features, labels, tree_index = self.make(backend="kdtree")
+        _, _, bf_index = self.make(backend="brute")
         q = features.mean(axis=0)
         d1, p1 = tree_index.query(q, 3, k=5)
         d2, p2 = bf_index.query(q, 3, k=5)
@@ -208,3 +209,35 @@ class TestClassFeatureIndex:
         index = ClassFeatureIndex(features, labels, source_indices=ids)
         _, pos = index.query(features[2], cls=0, k=1)
         assert pos[0] == 300
+
+
+class TestBackendInterchangeability:
+    def test_backends_listed(self):
+        assert set(CONCRETE_BACKENDS) == {"kdtree", "brute"}
+
+    def test_unknown_backend_rejected(self):
+        for name in ("octree", "balltree"):
+            with pytest.raises(ValueError, match="backend"):
+                ClassFeatureIndex(np.zeros((2, 2)), np.zeros(2, dtype=int),
+                                  backend=name)
+
+    @pytest.mark.parametrize("backend", CONCRETE_BACKENDS)
+    def test_all_backends_agree(self, backend):
+        rng = np.random.default_rng(4)
+        features = rng.normal(size=(60, 16))
+        labels = np.repeat(np.arange(3), 20)
+        index = ClassFeatureIndex(features, labels, backend=backend)
+        reference = ClassFeatureIndex(features, labels, backend="brute")
+        q = rng.normal(size=16)
+        for cls in range(3):
+            d1, _ = index.query(q, cls, k=4)
+            d2, _ = reference.query(q, cls, k=4)
+            assert np.allclose(d1, d2), (backend, cls)
+
+    def test_default_backend_is_kdtree(self):
+        index = ClassFeatureIndex(np.zeros((2, 2)), np.zeros(2, dtype=int))
+        assert index.backend == "kdtree"
+        assert index.backend_for(0) == "kdtree"
+        with pytest.raises(TypeError):
+            ClassFeatureIndex(np.zeros((2, 2)), np.zeros(2, dtype=int),
+                              use_kdtree=False)

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.nn.layers import (BatchNorm1d, Conv2d, Dropout, Flatten, LayerNorm,
-                             Linear, ReLU, Sequential, Tanh)
+from repro.nn.layers import (BatchNorm1d, Conv2d, Flatten, LayerNorm, Linear,
+                             ReLU, Sequential, Tanh)
 from repro.nn.tensor import Tensor
 
 
@@ -29,7 +29,7 @@ class TestModuleInfrastructure:
         assert layer.num_parameters() == 3 * 5 + 5
 
     def test_train_eval_propagates(self):
-        model = Sequential(Linear(2, 2, rng=make_rng()), Dropout(0.5))
+        model = Sequential(Linear(2, 2, rng=make_rng()), ReLU())
         model.eval()
         assert all(not m.training for m in model.modules())
         model.train()
@@ -142,23 +142,6 @@ class TestLayerNorm:
 
     def test_has_learnable_params(self):
         assert len(LayerNorm(4).parameters()) == 2
-
-
-class TestDropoutLayer:
-    def test_invalid_probability(self):
-        with pytest.raises(ValueError):
-            Dropout(1.5)
-
-    def test_eval_identity(self):
-        d = Dropout(0.9, rng=make_rng())
-        d.eval()
-        x = Tensor(np.ones((3, 3)))
-        assert np.array_equal(d(x).data, x.data)
-
-    def test_train_zeroes_some(self):
-        d = Dropout(0.5, rng=make_rng())
-        out = d(Tensor(np.ones((100, 100)))).data
-        assert (out == 0).any()
 
 
 class TestSequentialAndFlatten:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.nn import functional as F
-from repro.nn.losses import cross_entropy, mse_loss, soft_cross_entropy
-from repro.nn.optim import SGD, Adam, CosineLR, StepLR, clip_grad_norm
+from repro.nn.losses import cross_entropy, soft_cross_entropy
+from repro.nn.optim import SGD
 from repro.nn.tensor import Tensor
 
 
@@ -80,16 +80,6 @@ class TestSoftCrossEntropy:
             soft_cross_entropy(Tensor(np.zeros((2, 3))), np.zeros((2, 4)))
 
 
-class TestMSE:
-    def test_value(self):
-        pred = Tensor(np.array([[1.0, 2.0]]))
-        assert np.isclose(mse_loss(pred, np.array([[0.0, 0.0]])).item(), 5.0)
-
-    def test_zero_at_target(self):
-        pred = Tensor(np.ones((3, 2)))
-        assert mse_loss(pred, np.ones((3, 2))).item() == 0.0
-
-
 class TestSGD:
     def test_vanilla_step(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
@@ -130,82 +120,3 @@ class TestSGD:
         opt = SGD([p], lr=0.1)
         opt.zero_grad()
         assert p.grad is None
-
-
-class TestAdam:
-    def test_first_step_is_lr_sized(self):
-        p = Tensor(np.array([0.0]), requires_grad=True)
-        opt = Adam([p], lr=0.01)
-        p.grad = np.array([3.0])
-        opt.step()
-        # Bias-corrected first step ≈ lr * sign(grad).
-        assert np.allclose(p.data, [-0.01], atol=1e-6)
-
-    def test_converges_on_quadratic(self):
-        p = Tensor(np.array([5.0]), requires_grad=True)
-        opt = Adam([p], lr=0.3)
-        for _ in range(200):
-            opt.zero_grad()
-            loss = (p * p).sum()
-            loss.backward()
-            opt.step()
-        assert abs(p.data[0]) < 0.05
-
-    def test_weight_decay_applied(self):
-        p = Tensor(np.array([1.0]), requires_grad=True)
-        opt = Adam([p], lr=0.1, weight_decay=1.0)
-        p.grad = np.array([0.0])
-        opt.step()
-        assert p.data[0] < 1.0
-
-
-class TestSchedulers:
-    def test_step_lr(self):
-        p = Tensor(np.array([1.0]), requires_grad=True)
-        opt = SGD([p], lr=1.0)
-        sched = StepLR(opt, step_size=2, gamma=0.1)
-        sched.step()
-        assert opt.lr == 1.0
-        sched.step()
-        assert np.isclose(opt.lr, 0.1)
-
-    def test_cosine_endpoints(self):
-        p = Tensor(np.array([1.0]), requires_grad=True)
-        opt = SGD([p], lr=1.0)
-        sched = CosineLR(opt, total_epochs=10, min_lr=0.0)
-        for _ in range(10):
-            sched.step()
-        assert np.isclose(opt.lr, 0.0, atol=1e-12)
-
-    def test_cosine_monotone_decrease(self):
-        p = Tensor(np.array([1.0]), requires_grad=True)
-        opt = SGD([p], lr=1.0)
-        sched = CosineLR(opt, total_epochs=5)
-        lrs = []
-        for _ in range(5):
-            sched.step()
-            lrs.append(opt.lr)
-        assert all(a > b for a, b in zip(lrs, lrs[1:]))
-
-    def test_invalid_args(self):
-        p = Tensor(np.array([1.0]), requires_grad=True)
-        opt = SGD([p], lr=1.0)
-        with pytest.raises(ValueError):
-            StepLR(opt, step_size=0)
-        with pytest.raises(ValueError):
-            CosineLR(opt, total_epochs=0)
-
-
-class TestClipGradNorm:
-    def test_clips_to_max_norm(self):
-        p = Tensor(np.array([0.0, 0.0]), requires_grad=True)
-        p.grad = np.array([3.0, 4.0])  # norm 5
-        pre = clip_grad_norm([p], max_norm=1.0)
-        assert np.isclose(pre, 5.0)
-        assert np.isclose(np.linalg.norm(p.grad), 1.0)
-
-    def test_no_clip_below_threshold(self):
-        p = Tensor(np.array([0.0]), requires_grad=True)
-        p.grad = np.array([0.5])
-        clip_grad_norm([p], max_norm=1.0)
-        assert np.allclose(p.grad, [0.5])

@@ -21,8 +21,8 @@ from repro.nn import models as model_zoo
 from repro.nn.blocks import (DenseMLPBlock, ResidualConvBlock,
                              ResidualMLPBlock, TransitionMLP)
 from repro.nn.data import DataLoader, LabeledDataset
-from repro.nn.layers import (BatchNorm1d, Conv2d, Dropout, Flatten,
-                             LayerNorm, Linear, ReLU, Sequential, Tanh)
+from repro.nn.layers import (BatchNorm1d, Conv2d, Flatten, LayerNorm,
+                             Linear, ReLU, Sequential, Tanh)
 from repro.nn.losses import (cross_entropy, cross_entropy_array,
                              soft_cross_entropy, soft_cross_entropy_array)
 from repro.nn.mixup import mixup_batch
@@ -72,13 +72,11 @@ LAYERS = {
                       (2, 7, 7)),
     "relu": (ReLU, (12,)),
     "tanh": (Tanh, (12,)),
-    "dropout": (lambda: Dropout(0.5, rng=_rng()), (12,)),
     "batchnorm": (lambda: BatchNorm1d(12), (12,)),
     "layernorm": (lambda: LayerNorm(12), (12,)),
     "flatten": (Flatten, (2, 3, 2)),
     "sequential": (lambda: Sequential(Flatten(), Linear(12, 8, rng=_rng()),
-                                      BatchNorm1d(8), ReLU(), Tanh(),
-                                      Dropout(0.3, rng=_rng())),
+                                      BatchNorm1d(8), ReLU(), Tanh()),
                    (3, 4)),
     "residual_mlp": (lambda: ResidualMLPBlock(12, rng=_rng()), (12,)),
     "residual_mlp_nonorm": (
